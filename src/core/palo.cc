@@ -36,6 +36,7 @@ void Palo::RebuildNeighborhood() {
     n.swap = swap;
     n.strategy = ApplySwap(*graph_, current_, swap);
     if (n.strategy == current_) continue;
+    n.diverge = DivergencePosition(current_, n.strategy);
     n.range = SwapRange(*graph_, current_, swap);
     neighbors_.push_back(std::move(n));
   }
@@ -129,19 +130,22 @@ bool Palo::Observe(const Trace& trace) {
   ++contexts_;
   ++samples_;
   trials_ += static_cast<int64_t>(neighbors_.size());
+  estimator_.Prepare(trace, current_, &workspace_);
   for (Neighbor& n : neighbors_) {
-    n.under_sum += estimator_.UnderEstimate(trace, n.strategy);
-    n.over_sum += estimator_.OverEstimate(trace, n.strategy);
+    n.under_sum += estimator_.UnderEstimate(n.strategy, n.diverge,
+                                            &workspace_);
+    n.over_sum += estimator_.OverEstimate(n.strategy, &workspace_);
   }
   if (handles_.contexts != nullptr) handles_.contexts->Increment();
   if (contexts_ % options_.test_every != 0) return false;
 
   // Climb exactly like PIB, at confidence delta/2.
+  double scale = SequentialThresholdScale(
+      samples_, std::max<int64_t>(1, trials_), options_.delta / 2.0);
   for (size_t j = 0; j < neighbors_.size(); ++j) {
     const Neighbor& n = neighbors_[j];
-    double threshold = SequentialSumThreshold(samples_, std::max<int64_t>(
-                                                  1, trials_),
-                                              options_.delta / 2.0, n.range);
+    STRATLEARN_CHECK(n.range > 0.0);
+    double threshold = n.range * scale;
     if (n.under_sum > 0.0 && n.under_sum >= threshold) {
       ++moves_;
       if (handles_.moves != nullptr) handles_.moves->Increment();

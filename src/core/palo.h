@@ -76,6 +76,7 @@ class Palo {
   struct Neighbor {
     SiblingSwap swap;
     Strategy strategy;
+    size_t diverge = 0;  // first position departing from current_
     double range = 0.0;
     double under_sum = 0.0;
     double over_sum = 0.0;
@@ -92,6 +93,7 @@ class Palo {
 
   const InferenceGraph* graph_;
   DeltaEstimator estimator_;
+  DeltaEstimator::Workspace workspace_;  // reused across contexts
   Strategy current_;
   Options options_;
 

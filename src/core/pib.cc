@@ -46,6 +46,7 @@ void Pib::RebuildNeighborhood() {
     n.swap = swap;
     n.strategy = ApplySwap(*graph_, current_, swap);
     if (n.strategy == current_) continue;  // no-op swap (e.g. dead ends)
+    n.diverge = DivergencePosition(current_, n.strategy);
     n.range = SwapRange(*graph_, current_, swap);
     neighbors_.push_back(std::move(n));
   }
@@ -216,8 +217,12 @@ bool Pib::Observe(const Trace& trace) {
   ++contexts_;
   ++samples_;
   trials_ += static_cast<int64_t>(neighbors_.size());
+  // The pessimistic completion and current_'s walk under it are shared
+  // by every neighbour; each neighbour only walks from its divergence.
+  estimator_.Prepare(trace, current_, &workspace_);
   for (Neighbor& n : neighbors_) {
-    n.delta_sum += estimator_.UnderEstimate(trace, n.strategy);
+    n.delta_sum += estimator_.UnderEstimate(n.strategy, n.diverge,
+                                            &workspace_);
   }
   if (handles_.contexts != nullptr) {
     handles_.contexts->Increment();
@@ -228,13 +233,18 @@ bool Pib::Observe(const Trace& trace) {
   // One test round: the first neighbour (in T order) whose sum crosses
   // its Equation-6 threshold wins; the largest-margin neighbour is
   // reported either way so traces show how close the round came.
+  // Equation 6's threshold is range * scale, with one scale per round.
   size_t fired = neighbors_.size();
   size_t best = neighbors_.size();
   double best_margin = 0.0;
   double fired_threshold = 0.0;
+  double scale = trials_ > 0 ? SequentialThresholdScale(
+                                   samples_, trials_, options_.delta)
+                             : 0.0;
   for (size_t j = 0; j < neighbors_.size(); ++j) {
     const Neighbor& n = neighbors_[j];
-    double threshold = ThresholdFor(j);
+    STRATLEARN_CHECK(n.range > 0.0);
+    double threshold = n.range * scale;
     double margin = n.delta_sum - threshold;
     if (best == neighbors_.size() || margin > best_margin) {
       best = j;

@@ -163,6 +163,9 @@ class Pib {
   struct Neighbor {
     SiblingSwap swap;
     Strategy strategy;
+    /// First position where `strategy` departs from current_: the
+    /// prepared Delta~ walk resumes here.
+    size_t diverge = 0;
     double range = 0.0;
     double delta_sum = 0.0;
   };
@@ -177,6 +180,9 @@ class Pib {
 
   const InferenceGraph* graph_;
   DeltaEstimator estimator_;
+  /// Per-trace scratch of the prepared Delta~ walk, reused across
+  /// contexts.
+  DeltaEstimator::Workspace workspace_;
   Strategy current_;
   std::vector<SiblingSwap> transformations_;
   Options options_;

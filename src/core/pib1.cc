@@ -11,6 +11,7 @@ Pib1::Pib1(const InferenceGraph* graph, Strategy current, SiblingSwap swap,
       estimator_(graph),
       current_(std::move(current)),
       alternative_(ApplySwap(*graph, current_, swap)),
+      diverge_(DivergencePosition(current_, alternative_)),
       options_(options),
       range_(SwapRange(*graph, current_, swap)) {
   STRATLEARN_CHECK(options_.delta > 0.0 && options_.delta < 1.0);
@@ -28,7 +29,8 @@ void Pib1::set_observer(obs::Observer* observer) {
 }
 
 void Pib1::Observe(const Trace& trace) {
-  delta_sum_ += estimator_.UnderEstimate(trace, alternative_);
+  estimator_.Prepare(trace, current_, &workspace_);
+  delta_sum_ += estimator_.UnderEstimate(alternative_, diverge_, &workspace_);
   ++samples_;
   if (observer_ == nullptr) return;
   if (handles_.samples != nullptr) {

@@ -54,8 +54,10 @@ class Pib1 {
  private:
   const InferenceGraph* graph_;
   DeltaEstimator estimator_;
+  DeltaEstimator::Workspace workspace_;  // reused across queries
   Strategy current_;
   Strategy alternative_;
+  size_t diverge_;  // first position where alternative_ departs
   Options options_;
   double range_;
   double delta_sum_ = 0.0;

@@ -22,6 +22,14 @@ double SequentialDelta(int64_t test_index, double delta);
 double SequentialSumThreshold(int64_t n, int64_t trial_count, double delta,
                               double range);
 
+/// The range-free factor of SequentialSumThreshold:
+///   sqrt(n/2 * ln(i^2 * pi^2 / (6 * delta))),
+/// so that range * SequentialThresholdScale(n, i, delta) equals
+/// SequentialSumThreshold(n, i, delta, range) bit for bit. A test round
+/// over many neighbours computes it once and scales it by each range.
+double SequentialThresholdScale(int64_t n, int64_t trial_count,
+                                double delta);
+
 }  // namespace stratlearn
 
 #endif  // STRATLEARN_STATS_SEQUENTIAL_H_

@@ -101,18 +101,25 @@ TEST_P(DeltaSoundnessProperty, UnderAndOverBoundsHoldExhaustively) {
   rng.Shuffle(leaves);
   Strategy theta = Strategy::FromLeafOrder(tree.graph, leaves);
 
+  // The learners' path: one prepared walk per trace, each neighbour
+  // resumed from its divergence position.
+  DeltaEstimator::Workspace workspace;
   for (const SiblingSwap& swap : AllSiblingSwaps(tree.graph)) {
     Strategy alt = ApplySwap(tree.graph, theta, swap);
+    size_t diverge = DivergencePosition(theta, alt);
     for (uint64_t mask = 0; mask < (uint64_t{1} << n); ++mask) {
       Context ctx = Context::FromMask(n, mask);
       Trace trace = qp.Execute(theta, ctx);
       double exact = estimator.ExactDelta(theta, alt, ctx);
-      double under = estimator.UnderEstimate(trace, alt);
-      double over = estimator.OverEstimate(trace, alt);
+      estimator.Prepare(trace, theta, &workspace);
+      double under = estimator.UnderEstimate(alt, diverge, &workspace);
+      double over = estimator.OverEstimate(alt, &workspace);
       EXPECT_LE(under, exact + 1e-9)
           << "mask=" << mask << " swap=" << swap.ToString(tree.graph);
       EXPECT_GE(over, exact - 1e-9)
           << "mask=" << mask << " swap=" << swap.ToString(tree.graph);
+      EXPECT_EQ(under, estimator.UnderEstimate(trace, alt));
+      EXPECT_EQ(over, estimator.OverEstimate(trace, alt));
     }
   }
 }

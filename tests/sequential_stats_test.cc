@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
 
 #include "stats/chernoff.h"
 #include "util/math_util.h"
@@ -53,6 +54,28 @@ TEST(SequentialThresholdTest, GrowsSublinearlyWithSamples) {
   double t100 = SequentialSumThreshold(100, 10, 0.1, 1.0);
   double t400 = SequentialSumThreshold(400, 10, 0.1, 1.0);
   EXPECT_NEAR(t400 / t100, 2.0, 1e-9);  // sqrt scaling
+}
+
+TEST(SequentialThresholdTest, RangeTimesScaleIsBitIdentical) {
+  // PIB and PALO compute the range-free scale once per test round and
+  // multiply by each neighbour's range; that must reproduce the
+  // per-neighbour threshold exactly, not merely to a tolerance.
+  int64_t checked = 0;
+  for (int64_t n : {1, 2, 3, 7, 40, 999, 123457}) {
+    for (int64_t i : {1, 2, 5, 66, 1000, 98765, 40000000}) {
+      for (double delta : {0.001, 0.05, 0.1, 0.2, 0.5, 0.99}) {
+        for (double range : {1e-3, 0.37, 1.0, 2.5, 17.125, 3141.59}) {
+          double fused = SequentialSumThreshold(n, i, delta, range);
+          double scaled = range * SequentialThresholdScale(n, i, delta);
+          EXPECT_EQ(std::memcmp(&fused, &scaled, sizeof(double)), 0)
+              << "n=" << n << " i=" << i << " delta=" << delta
+              << " range=" << range;
+          ++checked;
+        }
+      }
+    }
+  }
+  EXPECT_EQ(checked, 7 * 7 * 6 * 6);
 }
 
 TEST(SequentialThresholdTest, NeverNegative) {
