@@ -236,38 +236,26 @@ bool RetrievalSpec::IsExistential() const {
 
 bool RetrievalSpec::Succeeds(const Database& db,
                              const std::vector<SymbolId>& query_args) const {
-  if (!IsExistential()) {
-    FactTuple tuple;
-    tuple.reserve(args.size());
-    for (const ArgSpec& a : args) {
-      if (a.source >= 0) {
-        STRATLEARN_CHECK(static_cast<size_t>(a.source) < query_args.size());
-        tuple.push_back(query_args[a.source]);
-      } else {
-        tuple.push_back(a.constant);
-      }
-    }
-    return db.Contains(predicate, tuple);
-  }
-  // Existential retrieval: build a pattern atom and probe for any match.
-  Atom pattern;
-  pattern.predicate = predicate;
-  pattern.args.reserve(args.size());
-  // Existential positions need distinct variable symbols; any ids distinct
-  // from each other work for Database::Match, so reuse the position index.
+  return Succeeds(db, db.Find(predicate), query_args);
+}
+
+bool RetrievalSpec::Succeeds(const Database& db,
+                             Database::RelationRef relation,
+                             std::span<const SymbolId> query_args) const {
+  TupleKey key(args.size());
+  std::span<SymbolId> pattern = key.span();
   for (size_t i = 0; i < args.size(); ++i) {
     const ArgSpec& a = args[i];
     if (a.source >= 0) {
-      pattern.args.push_back(Term::Constant(query_args[a.source]));
+      STRATLEARN_CHECK(static_cast<size_t>(a.source) < query_args.size());
+      pattern[i] = query_args[a.source];
     } else if (a.source == ArgSpec::kConstant) {
-      pattern.args.push_back(Term::Constant(a.constant));
+      pattern[i] = a.constant;
     } else {
-      pattern.args.push_back(Term::Variable(static_cast<SymbolId>(i)));
+      pattern[i] = kInvalidSymbol;
     }
   }
-  std::vector<FactTuple> matches;
-  db.Match(pattern, &matches);
-  return !matches.empty();
+  return db.Exists(relation, pattern);
 }
 
 bool GuardSpec::Satisfied(const std::vector<SymbolId>& query_args) const {

@@ -1,6 +1,7 @@
 #ifndef STRATLEARN_GRAPH_BUILDER_H_
 #define STRATLEARN_GRAPH_BUILDER_H_
 
+#include <span>
 #include <unordered_map>
 #include <utility>
 #include <vector>
@@ -48,6 +49,14 @@ struct RetrievalSpec {
   /// constant arguments: true iff the lookup succeeds (arc unblocked).
   bool Succeeds(const Database& db, const std::vector<SymbolId>& query_args)
       const;
+
+  /// The same lookup against `relation`, which must be
+  /// `db.Find(predicate)` as of now; for callers that resolve the
+  /// predicate once and probe it many times. Builds the key on the stack
+  /// (kInvalidSymbol at existential positions, which are always
+  /// distinct variables) and allocates nothing.
+  bool Succeeds(const Database& db, Database::RelationRef relation,
+                std::span<const SymbolId> query_args) const;
 };
 
 /// A guard on a reduction arc: the arc is traversable only when the

@@ -2,6 +2,7 @@
 
 #include "core/expected_cost.h"
 #include "datalog/parser.h"
+#include "util/string_util.h"
 #include "workload/datalog_oracle.h"
 #include "workload/random_tree.h"
 #include "workload/synthetic_oracle.h"
@@ -124,6 +125,77 @@ TEST(DatalogOracleTest, GuardedExperimentEvaluation) {
   ASSERT_GE(guard_exp, 0);
   EXPECT_TRUE(fred.Unblocked(guard_exp));
   EXPECT_FALSE(russ.Unblocked(guard_exp));
+}
+
+TEST(DatalogOracleTest, CachedRelationsFollowTheLiveDatabase) {
+  // An oracle built before the database changes must answer exactly as
+  // one built after it: its cached relation handles are re-resolved when
+  // a predicate gains its first fact and after Clear().
+  SymbolTable symbols;
+  Parser parser(&symbols);
+  Database db;
+  RuleBase rules;
+  const std::string facts = "p(c0). a(c1). b(c1, d0). b(c2, d1).";
+  ASSERT_TRUE(parser
+                  .LoadProgram("q(X) :- p(X). q(X) :- a(X), b(X, Y)."
+                               "q(X) :- late(X). q(X) :- big(X, Y)." +
+                                   facts,
+                               &db, &rules)
+                  .ok());
+  ASSERT_TRUE(db.Insert(symbols.Intern("big"),
+                        {symbols.Intern("c3"), symbols.Intern("d0")})
+                  .ok());
+  Result<QueryForm> form = QueryForm::Parse("q(b)", &symbols);
+  ASSERT_TRUE(form.ok());
+  Result<BuiltGraph> built = BuildInferenceGraph(rules, *form, &symbols);
+  ASSERT_TRUE(built.ok()) << built.status().ToString();
+
+  QueryWorkload workload;
+  std::vector<SymbolId> constants;
+  for (int c = 0; c < 40; ++c) {
+    constants.push_back(symbols.Intern(StrFormat("c%d", c)));
+    workload.entries.push_back({{constants.back()}, 1.0 + c % 3});
+  }
+  DatalogOracle oracle(&built.value(), &db, workload);
+  // Warm the cache before every change.
+  (void)oracle.TrueMarginalProbs();
+
+  auto expect_fresh = [&](const std::string& step) {
+    DatalogOracle fresh(&built.value(), &db, workload);
+    for (SymbolId c : constants) {
+      EXPECT_EQ(oracle.ContextFor({c}), fresh.ContextFor({c}))
+          << step << ": " << symbols.Name(c);
+    }
+    EXPECT_EQ(oracle.TrueMarginalProbs(), fresh.TrueMarginalProbs())
+        << step;
+  };
+
+  // 1. A predicate that had no facts gains one.
+  ASSERT_EQ(db.Find(symbols.Intern("late")), nullptr);
+  ASSERT_TRUE(db.Insert(symbols.Intern("late"), {constants[5]}).ok());
+  expect_fresh("new predicate");
+  EXPECT_TRUE(oracle.ContextFor({constants[5]}).Unblocked(3));
+
+  // 2. An existing relation grows through several rehashes.
+  for (int c = 6; c < 40; c += 2) {
+    for (int d = 0; d < 20; ++d) {
+      ASSERT_TRUE(db.Insert(symbols.Intern("big"),
+                            {constants[c],
+                             symbols.Intern(StrFormat("d%d", d))})
+                      .ok());
+    }
+  }
+  ASSERT_GT(db.CountFacts(symbols.Intern("big")), 300);
+  expect_fresh("rehash");
+
+  // 3. Clear() and a reload with different facts.
+  db.Clear();
+  expect_fresh("cleared");
+  ASSERT_TRUE(parser.LoadProgram("p(c1). a(c0). b(c0, d2). late(c7).",
+                                 &db, &rules)
+                  .ok());
+  expect_fresh("reloaded");
+  EXPECT_TRUE(oracle.ContextFor({constants[7]}).Unblocked(3));
 }
 
 TEST(DriftingOracleTest, RevertAtRestoresThePreDriftRegime) {
