@@ -1,8 +1,13 @@
 // Micro-benchmarks (google-benchmark) for the hot paths: strategy
-// execution, expected-cost evaluation, Upsilon, and PIB's per-context
-// update. These are throughput numbers, not paper artifacts.
+// execution, expected-cost evaluation, Upsilon, PIB's per-context
+// update, and trace serialisation. These are throughput numbers, not
+// paper artifacts.
 
 #include <benchmark/benchmark.h>
+
+#include <ostream>
+#include <streambuf>
+#include <vector>
 
 #include "core/delta_estimator.h"
 #include "core/expected_cost.h"
@@ -10,8 +15,10 @@
 #include "core/transformations.h"
 #include "core/upsilon.h"
 #include "engine/query_processor.h"
+#include "obs/json_writer.h"
 #include "obs/observer.h"
 #include "obs/profiler.h"
+#include "obs/sinks.h"
 #include "workload/random_tree.h"
 #include "workload/synthetic_oracle.h"
 
@@ -149,6 +156,58 @@ void BM_DeltaUnderEstimate(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_DeltaUnderEstimate)->Arg(3)->Arg(5)->Arg(7);
+
+/// Arc costs as the random trees draw them (uniform in [0.5, 2.0]), so
+/// every double needs all 17 significant digits to round-trip.
+std::vector<double> FullPrecisionCosts() {
+  Rng rng(12);
+  std::vector<double> costs(1024);
+  for (double& c : costs) c = rng.NextUniform(0.5, 2.0);
+  return costs;
+}
+
+/// Accepts and discards every byte, so a sink's cost is serialisation
+/// plus the ostream calls, not I/O.
+class DiscardBuf : public std::streambuf {
+ protected:
+  int_type overflow(int_type ch) override { return ch; }
+  std::streamsize xsputn(const char*, std::streamsize n) override {
+    return n;
+  }
+};
+
+void BM_JsonlSinkArcAttempt(benchmark::State& state) {
+  DiscardBuf buf;
+  std::ostream out(&buf);
+  obs::JsonlSink sink(&out);
+  std::vector<double> costs = FullPrecisionCosts();
+  obs::ArcAttemptEvent e;
+  e.experiment = 3;
+  size_t i = 0;
+  for (auto _ : state) {
+    ++e.query_index;
+    e.t_us = e.query_index * 7;
+    e.arc = static_cast<uint32_t>(i % 40);
+    e.unblocked = (i & 1) != 0;
+    e.cost = costs[i++ % costs.size()];
+    sink.OnArcAttempt(e);
+    benchmark::ClobberMemory();
+  }
+}
+BENCHMARK(BM_JsonlSinkArcAttempt);
+
+void BM_JsonWriterDouble17(benchmark::State& state) {
+  std::vector<double> costs = FullPrecisionCosts();
+  obs::JsonWriter w(obs::JsonWriter::kRoundTripDigits);
+  size_t i = 0;
+  for (auto _ : state) {
+    w.Reset();
+    w.Value(costs[i++ % costs.size()]);
+    benchmark::DoNotOptimize(w.str().data());
+    benchmark::ClobberMemory();
+  }
+}
+BENCHMARK(BM_JsonWriterDouble17);
 
 }  // namespace
 }  // namespace stratlearn

@@ -14,7 +14,8 @@ AdaptiveQueryProcessor::AdaptiveQueryProcessor(const InferenceGraph* graph,
       initial_quotas_(quotas),
       remaining_(std::move(quotas)),
       mode_(mode),
-      counters_(graph->num_experiments()) {
+      counters_(graph->num_experiments()),
+      aiming_(graph->num_experiments() + 1) {
   STRATLEARN_CHECK(remaining_.size() == graph_->num_experiments());
   set_observer(observer);
 }
@@ -63,18 +64,25 @@ Strategy AdaptiveQueryProcessor::AimingStrategy(int target_experiment) const {
   return *std::move(strategy);
 }
 
+const Strategy& AdaptiveQueryProcessor::CachedAimingStrategy(
+    int target_experiment) {
+  std::optional<Strategy>& slot =
+      aiming_[static_cast<size_t>(target_experiment + 1)];
+  if (!slot.has_value()) slot = AimingStrategy(target_experiment);
+  return *slot;
+}
+
 AdaptiveQueryProcessor::StepResult AdaptiveQueryProcessor::Process(
     const Context& context) {
   ++contexts_processed_;
   StepResult result;
   result.aimed_experiment = PickTarget();
-  Strategy strategy = AimingStrategy(result.aimed_experiment);
+  const Strategy& strategy = CachedAimingStrategy(result.aimed_experiment);
   // Quota-transition detection for the audit layer: which experiments
   // still owed samples before this context ran.
-  std::vector<int64_t> remaining_before;
   bool audit = observer_ != nullptr && observer_->audit_enabled() &&
                audit_delta_ > 0.0 && audit_delta_ < 1.0;
-  if (audit) remaining_before = remaining_;
+  if (audit) remaining_before_ = remaining_;
   result.trace = processor_.Execute(strategy, context);
 
   // Every attempted experiment yields a sample (and, having been reached,
@@ -82,16 +90,16 @@ AdaptiveQueryProcessor::StepResult AdaptiveQueryProcessor::Process(
   // failures (retries exhausted, breaker open) are pessimistic
   // placeholders, not draws from the experiment's true distribution, so
   // they must not reduce the Equation 7/8 quotas.
-  std::vector<char> attempted(graph_->num_experiments(), 0);
+  attempted_.assign(graph_->num_experiments(), 0);
   for (const ArcAttempt& at : result.trace.attempts) {
     int e = graph_->arc(at.arc).experiment;
     if (e < 0 || at.infra_failure) continue;
-    attempted[e] = 1;
+    attempted_[e] = 1;
     counters_[e].RecordAttempt(at.unblocked);
     --remaining_[e];
   }
   if (result.aimed_experiment >= 0) {
-    result.reached = attempted[result.aimed_experiment] != 0;
+    result.reached = attempted_[result.aimed_experiment] != 0;
     if (!result.reached) {
       // Aimed but blocked en route: Definition 1's attempted reach.
       counters_[result.aimed_experiment].RecordBlockedAim();
@@ -128,7 +136,7 @@ AdaptiveQueryProcessor::StepResult AdaptiveQueryProcessor::Process(
         int64_t n = static_cast<int64_t>(remaining_.size());
         double delta_step = audit_delta_ / (2.0 * static_cast<double>(n));
         for (size_t e = 0; e < remaining_.size(); ++e) {
-          if (remaining_before[e] <= 0 || remaining_[e] > 0) continue;
+          if (remaining_before_[e] <= 0 || remaining_[e] > 0) continue;
           const ExperimentCounter& c = counters_[e];
           int64_t samples = mode_ == QuotaMode::kReachAttempts
                                 ? c.reach_attempts()

@@ -2,6 +2,7 @@
 #define STRATLEARN_ENGINE_ADAPTIVE_QP_H_
 
 #include <cstdint>
+#include <optional>
 #include <vector>
 
 #include "engine/query_processor.h"
@@ -89,6 +90,16 @@ class AdaptiveQueryProcessor {
   /// Processes one context, updating counters and quotas.
   StepResult Process(const Context& context);
 
+  /// Builds the strategy that visits `target_experiment`'s root path
+  /// first, then the rest of the graph depth-first; a plain depth-first
+  /// strategy for -1 (all quotas met).
+  Strategy AimingStrategy(int target_experiment) const;
+
+  /// AimingStrategy(target_experiment), built on first use and kept:
+  /// the strategy depends only on the target and the graph, so Process
+  /// builds each of the num_experiments + 1 strategies at most once.
+  const Strategy& CachedAimingStrategy(int target_experiment);
+
   /// True when every experiment's remaining quota is <= 0.
   bool QuotasMet() const;
 
@@ -128,16 +139,18 @@ class AdaptiveQueryProcessor {
   /// -1 when all quotas are met.
   int PickTarget() const;
 
-  /// Strategy that visits `target`'s root path first, then the rest of
-  /// the graph depth-first.
-  Strategy AimingStrategy(int target_experiment) const;
-
   const InferenceGraph* graph_;
   QueryProcessor processor_;
   std::vector<int64_t> initial_quotas_;
   std::vector<int64_t> remaining_;
   QuotaMode mode_;
   std::vector<ExperimentCounter> counters_;
+  /// aiming_[t + 1] caches CachedAimingStrategy(t), t in [-1, n).
+  std::vector<std::optional<Strategy>> aiming_;
+  /// Per-context scratch reused by Process: which experiments this
+  /// context attempted, and (audit only) the quotas before it ran.
+  std::vector<char> attempted_;
+  std::vector<int64_t> remaining_before_;
   int64_t contexts_processed_ = 0;
   /// Audit mode (set_audit_params): configured delta/epsilon and the
   /// running delta spend of emitted quota certificates.

@@ -103,9 +103,16 @@ AuditLog::Cursor AuditLog::SaveCursor() {
 
 AuditLog::~AuditLog() { Close(); }
 
-void AuditLog::WriteLine(const std::string& json) {
+JsonWriter& AuditLog::StartLine() {
+  writer_.Reset();
+  return writer_;
+}
+
+void AuditLog::WriteLine() {
   if (out_ == nullptr || failed_ || closed_) return;
-  *out_ << json << '\n';
+  const std::string& json = writer_.str();
+  out_->write(json.data(), static_cast<std::streamsize>(json.size()));
+  out_->put('\n');
   if (!out_->good()) {
     failed_ = true;
     WarnWriteFailed();
@@ -115,7 +122,7 @@ void AuditLog::WriteLine(const std::string& json) {
 void AuditLog::WriteHeader() {
   if (out_ == nullptr || !out_->good()) return;
   *out_ << "stratlearn-audit v1\n";
-  JsonWriter w(JsonWriter::kRoundTripDigits);
+  JsonWriter& w = StartLine();
   w.BeginObject();
   w.Key("record").Value("header");
   w.Key("window").Value(options_.window);
@@ -124,7 +131,7 @@ void AuditLog::WriteHeader() {
   w.Key("incumbent_expected_cost").Value(options_.incumbent_expected_cost);
   w.Key("oracle_expected_cost").Value(options_.oracle_expected_cost);
   w.EndObject();
-  WriteLine(w.str());
+  WriteLine();
 }
 
 void AuditLog::OnArcAttempt(const ArcAttemptEvent& e) {
@@ -147,7 +154,7 @@ void AuditLog::OnQueryEnd(const QueryEndEvent& e) {
 
 void AuditLog::WriteRegret() {
   if (window_queries_ == 0) return;
-  JsonWriter w(JsonWriter::kRoundTripDigits);
+  JsonWriter& w = StartLine();
   w.BeginObject();
   w.Key("record").Value("regret");
   w.Key("window_index").Value(windows_written_);
@@ -169,7 +176,7 @@ void AuditLog::WriteRegret() {
     w.Key("regret_vs_oracle").Value(total_cost_ - oracle_total);
   }
   w.EndObject();
-  WriteLine(w.str());
+  WriteLine();
   ++windows_written_;
   window_queries_ = 0;
   window_cost_ = 0.0;
@@ -179,7 +186,7 @@ void AuditLog::OnDecisionCertificate(const DecisionCertificateEvent& e) {
   Ledger& ledger = ledgers_[e.learner];
   ledger.spent = e.delta_spent_total;
   ledger.budget = e.delta_budget;
-  JsonWriter w(JsonWriter::kRoundTripDigits);
+  JsonWriter& w = StartLine();
   w.BeginObject();
   w.Key("record").Value("certificate");
   w.Key("seq").Value(certificates_);
@@ -214,7 +221,7 @@ void AuditLog::OnDecisionCertificate(const DecisionCertificateEvent& e) {
   }
   w.EndArray();
   w.EndObject();
-  WriteLine(w.str());
+  WriteLine();
   epoch_arcs_.clear();
   ++certificates_;
   if (e.verdict == "commit") ++commits_;
@@ -243,7 +250,7 @@ void AuditLog::Close() {
     if (ledger.budget > budget) budget = ledger.budget;
     if (ledger.spent > ledger.budget) budget_ok = false;
   }
-  JsonWriter w(JsonWriter::kRoundTripDigits);
+  JsonWriter& w = StartLine();
   w.BeginObject();
   w.Key("record").Value("summary");
   w.Key("queries").Value(queries_);
@@ -257,7 +264,7 @@ void AuditLog::Close() {
   w.Key("delta_budget").Value(budget);
   w.Key("budget_ok").Value(budget_ok);
   w.EndObject();
-  WriteLine(w.str());
+  WriteLine();
   closed_ = true;
   if (!failed_) out_->flush();
 }

@@ -9,6 +9,7 @@
 #include <string>
 #include <vector>
 
+#include "obs/json_writer.h"
 #include "obs/trace_sink.h"
 
 namespace stratlearn::obs {
@@ -136,10 +137,14 @@ class AuditLog final : public TraceSink {
     double budget = 0.0;
   };
 
-  void WriteLine(const std::string& json);
+  /// Resets writer_ for the next record; WriteLine emits it. One
+  /// writer per log, so every record reuses one buffer.
+  JsonWriter& StartLine();
+  void WriteLine();
   void WriteHeader();
   void WriteRegret();
 
+  JsonWriter writer_{JsonWriter::kRoundTripDigits};
   std::unique_ptr<std::ofstream> owned_;
   std::ostream* out_ = nullptr;
   AuditLogOptions options_;

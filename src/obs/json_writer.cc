@@ -7,41 +7,53 @@
 
 namespace stratlearn::obs {
 
+namespace {
+
+/// The escape sequence for byte `c`, or nullptr when `c` is copied as
+/// is. Only quote, backslash and the control characters 0x00-0x1f are
+/// escaped; every other byte (DEL and non-ASCII included) passes
+/// through.
+const char* EscapeFor(unsigned char c) {
+  static constexpr const char* kControl[0x20] = {
+      "\\u0000", "\\u0001", "\\u0002", "\\u0003", "\\u0004", "\\u0005",
+      "\\u0006", "\\u0007", "\\b",     "\\t",     "\\n",     "\\u000b",
+      "\\f",     "\\r",     "\\u000e", "\\u000f", "\\u0010", "\\u0011",
+      "\\u0012", "\\u0013", "\\u0014", "\\u0015", "\\u0016", "\\u0017",
+      "\\u0018", "\\u0019", "\\u001a", "\\u001b", "\\u001c", "\\u001d",
+      "\\u001e", "\\u001f"};
+  if (c < 0x20) return kControl[c];
+  if (c == '"') return "\\\"";
+  if (c == '\\') return "\\\\";
+  return nullptr;
+}
+
+/// Appends JsonEscape(s) to `out` in place, copying runs of bytes that
+/// need no escape in one go.
+void AppendJsonEscaped(std::string* out, std::string_view s) {
+  size_t run = 0;  // start of the pending run of unescaped bytes
+  for (size_t i = 0; i < s.size(); ++i) {
+    const char* esc = EscapeFor(static_cast<unsigned char>(s[i]));
+    if (esc == nullptr) continue;
+    out->append(s.data() + run, i - run);
+    out->append(esc);
+    run = i + 1;
+  }
+  out->append(s.data() + run, s.size() - run);
+}
+
+}  // namespace
+
 std::string JsonEscape(std::string_view s) {
   std::string out;
   out.reserve(s.size());
-  for (char c : s) {
-    switch (c) {
-      case '"':
-        out += "\\\"";
-        break;
-      case '\\':
-        out += "\\\\";
-        break;
-      case '\b':
-        out += "\\b";
-        break;
-      case '\f':
-        out += "\\f";
-        break;
-      case '\n':
-        out += "\\n";
-        break;
-      case '\r':
-        out += "\\r";
-        break;
-      case '\t':
-        out += "\\t";
-        break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          out += StrFormat("\\u%04x", c);
-        } else {
-          out += c;
-        }
-    }
-  }
+  AppendJsonEscaped(&out, s);
   return out;
+}
+
+void JsonWriter::Reset() {
+  out_.clear();
+  has_element_.clear();
+  pending_key_ = false;
 }
 
 void JsonWriter::BeforeValue() {
@@ -87,7 +99,7 @@ JsonWriter& JsonWriter::Key(std::string_view key) {
     has_element_.back() = true;
   }
   out_ += '"';
-  out_ += JsonEscape(key);
+  AppendJsonEscaped(&out_, key);
   out_ += "\":";
   pending_key_ = true;
   return *this;
@@ -96,7 +108,7 @@ JsonWriter& JsonWriter::Key(std::string_view key) {
 JsonWriter& JsonWriter::Value(std::string_view value) {
   BeforeValue();
   out_ += '"';
-  out_ += JsonEscape(value);
+  AppendJsonEscaped(&out_, value);
   out_ += '"';
   return *this;
 }
@@ -110,14 +122,14 @@ JsonWriter& JsonWriter::Value(double value) {
   if (!std::isfinite(value)) {
     out_ += "null";
   } else {
-    out_ += StrFormat("%.*g", double_digits_, value);
+    AppendDouble(&out_, value, double_digits_);
   }
   return *this;
 }
 
 JsonWriter& JsonWriter::Value(int64_t value) {
   BeforeValue();
-  out_ += StrFormat("%lld", static_cast<long long>(value));
+  AppendInt(&out_, value);
   return *this;
 }
 

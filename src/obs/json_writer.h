@@ -20,7 +20,11 @@ std::string JsonEscape(std::string_view s);
 ///
 /// `double_digits` is the %g precision for doubles: the default 12 is
 /// compact for human-facing reports; machine formats that must replay
-/// losslessly (JSONL traces) use kRoundTripDigits.
+/// losslessly (JSONL traces) use kRoundTripDigits. Numbers are written
+/// with std::to_chars (AppendDouble / AppendInt), byte-identical to
+/// printf's "%.*g" and "%lld" but without printf or a temporary string,
+/// so the trace sinks can serialise an event without allocating once
+/// their writer's buffer has grown (see Reset).
 class JsonWriter {
  public:
   /// 17 significant digits round-trip any IEEE-754 double exactly.
@@ -45,6 +49,11 @@ class JsonWriter {
   /// the next value, handling commas like any other Value call. The
   /// caller is responsible for `json` being well formed (IsValidJson).
   JsonWriter& Raw(std::string_view json);
+
+  /// Empties the writer for the next document, keeping the buffer's
+  /// capacity: a sink that serialises one line per event reuses one
+  /// writer.
+  void Reset();
 
   const std::string& str() const { return out_; }
   std::string Take() { return std::move(out_); }

@@ -121,7 +121,12 @@ JsonlSink::JsonlSink(const std::string& path)
 
 JsonlSink::~JsonlSink() { Close(); }
 
-void JsonlSink::WriteLine(const std::string& json) {
+JsonWriter& JsonlSink::StartLine() {
+  writer_.Reset();
+  return writer_;
+}
+
+void JsonlSink::WriteLine() {
   if (out_ == nullptr) return;
   if (closed_ || failed_) {
     ++events_dropped_;
@@ -132,7 +137,9 @@ void JsonlSink::WriteLine(const std::string& json) {
     }
     return;
   }
-  *out_ << json << '\n';
+  const std::string& json = writer_.str();
+  out_->write(json.data(), static_cast<std::streamsize>(json.size()));
+  out_->put('\n');
   if (!out_->good()) {
     failed_ = true;
     WarnWriteFailed("JSONL");
@@ -156,17 +163,17 @@ void JsonlSink::Close() {
 }
 
 void JsonlSink::OnQueryStart(const QueryStartEvent& e) {
-  JsonWriter w(JsonWriter::kRoundTripDigits);
+  JsonWriter& w = StartLine();
   w.BeginObject();
   w.Key("type").Value("query_start");
   w.Key("t_us").Value(e.t_us);
   w.Key("query_index").Value(e.query_index);
   w.EndObject();
-  WriteLine(w.str());
+  WriteLine();
 }
 
 void JsonlSink::OnQueryEnd(const QueryEndEvent& e) {
-  JsonWriter w(JsonWriter::kRoundTripDigits);
+  JsonWriter& w = StartLine();
   w.BeginObject();
   w.Key("type").Value("query_end");
   w.Key("t_us").Value(e.t_us);
@@ -177,11 +184,11 @@ void JsonlSink::OnQueryEnd(const QueryEndEvent& e) {
   w.Key("successes").Value(e.successes);
   w.Key("success").Value(e.success);
   w.EndObject();
-  WriteLine(w.str());
+  WriteLine();
 }
 
 void JsonlSink::OnArcAttempt(const ArcAttemptEvent& e) {
-  JsonWriter w(JsonWriter::kRoundTripDigits);
+  JsonWriter& w = StartLine();
   w.BeginObject();
   w.Key("type").Value("arc_attempt");
   w.Key("t_us").Value(e.t_us);
@@ -191,31 +198,31 @@ void JsonlSink::OnArcAttempt(const ArcAttemptEvent& e) {
   w.Key("unblocked").Value(e.unblocked);
   w.Key("cost").Value(e.cost);
   w.EndObject();
-  WriteLine(w.str());
+  WriteLine();
 }
 
 void JsonlSink::OnClimbMove(const ClimbMoveEvent& e) {
-  JsonWriter w(JsonWriter::kRoundTripDigits);
+  JsonWriter& w = StartLine();
   w.BeginObject();
   w.Key("type").Value("climb_move");
   w.Key("t_us").Value(e.t_us);
   CommonClimbFields(w, e);
   w.EndObject();
-  WriteLine(w.str());
+  WriteLine();
 }
 
 void JsonlSink::OnSequentialTest(const SequentialTestEvent& e) {
-  JsonWriter w(JsonWriter::kRoundTripDigits);
+  JsonWriter& w = StartLine();
   w.BeginObject();
   w.Key("type").Value("sequential_test");
   w.Key("t_us").Value(e.t_us);
   CommonTestFields(w, e);
   w.EndObject();
-  WriteLine(w.str());
+  WriteLine();
 }
 
 void JsonlSink::OnQuotaProgress(const QuotaProgressEvent& e) {
-  JsonWriter w(JsonWriter::kRoundTripDigits);
+  JsonWriter& w = StartLine();
   w.BeginObject();
   w.Key("type").Value("quota_progress");
   w.Key("t_us").Value(e.t_us);
@@ -225,11 +232,11 @@ void JsonlSink::OnQuotaProgress(const QuotaProgressEvent& e) {
   w.Key("remaining_max").Value(e.remaining_max);
   w.Key("remaining_total").Value(e.remaining_total);
   w.EndObject();
-  WriteLine(w.str());
+  WriteLine();
 }
 
 void JsonlSink::OnPaloStop(const PaloStopEvent& e) {
-  JsonWriter w(JsonWriter::kRoundTripDigits);
+  JsonWriter& w = StartLine();
   w.BeginObject();
   w.Key("type").Value("palo_stop");
   w.Key("t_us").Value(e.t_us);
@@ -238,11 +245,11 @@ void JsonlSink::OnPaloStop(const PaloStopEvent& e) {
   w.Key("epsilon").Value(e.epsilon);
   w.Key("worst_certificate").Value(e.worst_certificate);
   w.EndObject();
-  WriteLine(w.str());
+  WriteLine();
 }
 
 void JsonlSink::OnRetry(const RetryEvent& e) {
-  JsonWriter w(JsonWriter::kRoundTripDigits);
+  JsonWriter& w = StartLine();
   w.BeginObject();
   w.Key("type").Value("retry");
   w.Key("t_us").Value(e.t_us);
@@ -254,11 +261,11 @@ void JsonlSink::OnRetry(const RetryEvent& e) {
   w.Key("backoff_cost").Value(e.backoff_cost);
   w.Key("gave_up").Value(e.gave_up);
   w.EndObject();
-  WriteLine(w.str());
+  WriteLine();
 }
 
 void JsonlSink::OnBreaker(const BreakerEvent& e) {
-  JsonWriter w(JsonWriter::kRoundTripDigits);
+  JsonWriter& w = StartLine();
   w.BeginObject();
   w.Key("type").Value("breaker");
   w.Key("t_us").Value(e.t_us);
@@ -269,11 +276,11 @@ void JsonlSink::OnBreaker(const BreakerEvent& e) {
   w.Key("consecutive_failures").Value(e.consecutive_failures);
   w.Key("cooldown_until").Value(e.cooldown_until);
   w.EndObject();
-  WriteLine(w.str());
+  WriteLine();
 }
 
 void JsonlSink::OnDegraded(const DegradedEvent& e) {
-  JsonWriter w(JsonWriter::kRoundTripDigits);
+  JsonWriter& w = StartLine();
   w.BeginObject();
   w.Key("type").Value("degraded");
   w.Key("t_us").Value(e.t_us);
@@ -282,47 +289,47 @@ void JsonlSink::OnDegraded(const DegradedEvent& e) {
   w.Key("budget").Value(e.budget);
   w.Key("attempts").Value(e.attempts);
   w.EndObject();
-  WriteLine(w.str());
+  WriteLine();
 }
 
 void JsonlSink::OnDrift(const DriftEvent& e) {
-  JsonWriter w(JsonWriter::kRoundTripDigits);
+  JsonWriter& w = StartLine();
   w.BeginObject();
   w.Key("type").Value("drift");
   w.Key("t_us").Value(e.t_us);
   CommonDriftFields(w, e);
   w.EndObject();
-  WriteLine(w.str());
+  WriteLine();
 }
 
 void JsonlSink::OnAlert(const AlertEvent& e) {
-  JsonWriter w(JsonWriter::kRoundTripDigits);
+  JsonWriter& w = StartLine();
   w.BeginObject();
   w.Key("type").Value("alert");
   w.Key("t_us").Value(e.t_us);
   CommonAlertFields(w, e);
   w.EndObject();
-  WriteLine(w.str());
+  WriteLine();
 }
 
 void JsonlSink::OnDecisionCertificate(const DecisionCertificateEvent& e) {
-  JsonWriter w(JsonWriter::kRoundTripDigits);
+  JsonWriter& w = StartLine();
   w.BeginObject();
   w.Key("type").Value("decision_certificate");
   w.Key("t_us").Value(e.t_us);
   CommonCertificateFields(w, e);
   w.EndObject();
-  WriteLine(w.str());
+  WriteLine();
 }
 
 void JsonlSink::OnRecovery(const RecoveryEvent& e) {
-  JsonWriter w(JsonWriter::kRoundTripDigits);
+  JsonWriter& w = StartLine();
   w.BeginObject();
   w.Key("type").Value("recovery");
   w.Key("t_us").Value(e.t_us);
   CommonRecoveryFields(w, e);
   w.EndObject();
-  WriteLine(w.str());
+  WriteLine();
 }
 
 ChromeTraceSink::ChromeTraceSink(std::ostream* out) : out_(out) {
@@ -336,7 +343,12 @@ ChromeTraceSink::ChromeTraceSink(const std::string& path)
 
 ChromeTraceSink::~ChromeTraceSink() { Close(); }
 
-void ChromeTraceSink::WriteRecord(const std::string& json) {
+JsonWriter& ChromeTraceSink::StartRecord() {
+  writer_.Reset();
+  return writer_;
+}
+
+void ChromeTraceSink::WriteRecord() {
   if (out_ == nullptr) return;
   if (closed_ || failed_) {
     ++events_dropped_;
@@ -347,8 +359,9 @@ void ChromeTraceSink::WriteRecord(const std::string& json) {
     }
     return;
   }
-  if (wrote_any_) *out_ << ",\n";
-  *out_ << json;
+  if (wrote_any_) out_->write(",\n", 2);
+  const std::string& json = writer_.str();
+  out_->write(json.data(), static_cast<std::streamsize>(json.size()));
   wrote_any_ = true;
   if (!out_->good()) {
     failed_ = true;
@@ -377,7 +390,7 @@ void ChromeTraceSink::Close() {
 }
 
 void ChromeTraceSink::OnQueryEnd(const QueryEndEvent& e) {
-  JsonWriter w;
+  JsonWriter& w = StartRecord();
   w.BeginObject();
   w.Key("name").Value("query");
   w.Key("cat").Value("qp");
@@ -393,11 +406,11 @@ void ChromeTraceSink::OnQueryEnd(const QueryEndEvent& e) {
   w.Key("success").Value(e.success);
   w.EndObject();
   w.EndObject();
-  WriteRecord(w.str());
+  WriteRecord();
 }
 
 void ChromeTraceSink::OnClimbMove(const ClimbMoveEvent& e) {
-  JsonWriter w;
+  JsonWriter& w = StartRecord();
   w.BeginObject();
   w.Key("name").Value("climb_move");
   w.Key("cat").Value("learner");
@@ -410,11 +423,11 @@ void ChromeTraceSink::OnClimbMove(const ClimbMoveEvent& e) {
   CommonClimbFields(w, e);
   w.EndObject();
   w.EndObject();
-  WriteRecord(w.str());
+  WriteRecord();
 }
 
 void ChromeTraceSink::OnSequentialTest(const SequentialTestEvent& e) {
-  JsonWriter w;
+  JsonWriter& w = StartRecord();
   w.BeginObject();
   w.Key("name").Value("sequential_test");
   w.Key("cat").Value("learner");
@@ -427,11 +440,11 @@ void ChromeTraceSink::OnSequentialTest(const SequentialTestEvent& e) {
   CommonTestFields(w, e);
   w.EndObject();
   w.EndObject();
-  WriteRecord(w.str());
+  WriteRecord();
 }
 
 void ChromeTraceSink::OnQuotaProgress(const QuotaProgressEvent& e) {
-  JsonWriter w;
+  JsonWriter& w = StartRecord();
   w.BeginObject();
   w.Key("name").Value("quota_remaining");
   w.Key("cat").Value("qpa");
@@ -443,11 +456,11 @@ void ChromeTraceSink::OnQuotaProgress(const QuotaProgressEvent& e) {
   w.Key("max").Value(e.remaining_max);
   w.EndObject();
   w.EndObject();
-  WriteRecord(w.str());
+  WriteRecord();
 }
 
 void ChromeTraceSink::OnPaloStop(const PaloStopEvent& e) {
-  JsonWriter w;
+  JsonWriter& w = StartRecord();
   w.BeginObject();
   w.Key("name").Value("palo_stop");
   w.Key("cat").Value("learner");
@@ -463,11 +476,11 @@ void ChromeTraceSink::OnPaloStop(const PaloStopEvent& e) {
   w.Key("worst_certificate").Value(e.worst_certificate);
   w.EndObject();
   w.EndObject();
-  WriteRecord(w.str());
+  WriteRecord();
 }
 
 void ChromeTraceSink::OnRetry(const RetryEvent& e) {
-  JsonWriter w;
+  JsonWriter& w = StartRecord();
   w.BeginObject();
   w.Key("name").Value("retry");
   w.Key("cat").Value("robust");
@@ -486,11 +499,11 @@ void ChromeTraceSink::OnRetry(const RetryEvent& e) {
   w.Key("gave_up").Value(e.gave_up);
   w.EndObject();
   w.EndObject();
-  WriteRecord(w.str());
+  WriteRecord();
 }
 
 void ChromeTraceSink::OnBreaker(const BreakerEvent& e) {
-  JsonWriter w;
+  JsonWriter& w = StartRecord();
   w.BeginObject();
   w.Key("name").Value("breaker");
   w.Key("cat").Value("robust");
@@ -508,11 +521,11 @@ void ChromeTraceSink::OnBreaker(const BreakerEvent& e) {
   w.Key("cooldown_until").Value(e.cooldown_until);
   w.EndObject();
   w.EndObject();
-  WriteRecord(w.str());
+  WriteRecord();
 }
 
 void ChromeTraceSink::OnDegraded(const DegradedEvent& e) {
-  JsonWriter w;
+  JsonWriter& w = StartRecord();
   w.BeginObject();
   w.Key("name").Value("degraded");
   w.Key("cat").Value("robust");
@@ -528,11 +541,11 @@ void ChromeTraceSink::OnDegraded(const DegradedEvent& e) {
   w.Key("attempts").Value(e.attempts);
   w.EndObject();
   w.EndObject();
-  WriteRecord(w.str());
+  WriteRecord();
 }
 
 void ChromeTraceSink::OnDrift(const DriftEvent& e) {
-  JsonWriter w;
+  JsonWriter& w = StartRecord();
   w.BeginObject();
   w.Key("name").Value("drift");
   w.Key("cat").Value("health");
@@ -545,11 +558,11 @@ void ChromeTraceSink::OnDrift(const DriftEvent& e) {
   CommonDriftFields(w, e);
   w.EndObject();
   w.EndObject();
-  WriteRecord(w.str());
+  WriteRecord();
 }
 
 void ChromeTraceSink::OnAlert(const AlertEvent& e) {
-  JsonWriter w;
+  JsonWriter& w = StartRecord();
   w.BeginObject();
   w.Key("name").Value("alert");
   w.Key("cat").Value("health");
@@ -562,12 +575,12 @@ void ChromeTraceSink::OnAlert(const AlertEvent& e) {
   CommonAlertFields(w, e);
   w.EndObject();
   w.EndObject();
-  WriteRecord(w.str());
+  WriteRecord();
 }
 
 void ChromeTraceSink::OnDecisionCertificate(
     const DecisionCertificateEvent& e) {
-  JsonWriter w;
+  JsonWriter& w = StartRecord();
   w.BeginObject();
   w.Key("name").Value("decision_certificate");
   w.Key("cat").Value("audit");
@@ -580,11 +593,11 @@ void ChromeTraceSink::OnDecisionCertificate(
   CommonCertificateFields(w, e);
   w.EndObject();
   w.EndObject();
-  WriteRecord(w.str());
+  WriteRecord();
 }
 
 void ChromeTraceSink::OnRecovery(const RecoveryEvent& e) {
-  JsonWriter w;
+  JsonWriter& w = StartRecord();
   w.BeginObject();
   w.Key("name").Value("recovery");
   w.Key("cat").Value("health");
@@ -597,7 +610,7 @@ void ChromeTraceSink::OnRecovery(const RecoveryEvent& e) {
   CommonRecoveryFields(w, e);
   w.EndObject();
   w.EndObject();
-  WriteRecord(w.str());
+  WriteRecord();
 }
 
 }  // namespace stratlearn::obs

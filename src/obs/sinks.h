@@ -7,6 +7,7 @@
 #include <ostream>
 #include <string>
 
+#include "obs/json_writer.h"
 #include "obs/metrics.h"
 #include "obs/trace_sink.h"
 
@@ -57,8 +58,13 @@ class JsonlSink final : public TraceSink {
   void Close() override;
 
  private:
-  void WriteLine(const std::string& json);
+  /// Resets writer_ for the next line; WriteLine emits what the caller
+  /// serialised into it. One writer per sink, so a steady stream of
+  /// events reuses one buffer.
+  JsonWriter& StartLine();
+  void WriteLine();
 
+  JsonWriter writer_{JsonWriter::kRoundTripDigits};
   std::unique_ptr<std::ofstream> owned_;
   std::ostream* out_ = nullptr;
   bool closed_ = false;
@@ -112,8 +118,11 @@ class ChromeTraceSink final : public TraceSink {
   void Close() override;
 
  private:
-  void WriteRecord(const std::string& json);
+  /// Same buffer reuse as JsonlSink::StartLine / WriteLine.
+  JsonWriter& StartRecord();
+  void WriteRecord();
 
+  JsonWriter writer_;
   std::unique_ptr<std::ofstream> owned_;
   std::ostream* out_ = nullptr;
   bool wrote_any_ = false;

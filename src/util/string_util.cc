@@ -1,8 +1,12 @@
 #include "util/string_util.h"
 
+#include <charconv>
 #include <cstdarg>
 #include <cstdio>
 #include <cstring>
+#include <system_error>
+
+#include "util/check.h"
 
 namespace stratlearn {
 
@@ -56,8 +60,32 @@ std::string StrFormat(const char* fmt, ...) {
   return out;
 }
 
+namespace {
+
+constexpr int kMaxFormatDigits = 100;
+
+}  // namespace
+
+void AppendDouble(std::string* out, double value, int digits) {
+  STRATLEARN_CHECK(digits >= 0 && digits <= kMaxFormatDigits);
+  // %.*g never needs more than sign, `digits` digits, a point and a
+  // five-character exponent ("e-308").
+  char buf[kMaxFormatDigits + 8];
+  std::to_chars_result r = std::to_chars(
+      buf, buf + sizeof(buf), value, std::chars_format::general, digits);
+  STRATLEARN_CHECK(r.ec == std::errc());
+  out->append(buf, r.ptr);
+}
+
+void AppendInt(std::string* out, long long value) {
+  char buf[24];  // "-9223372036854775808" is 20 characters
+  std::to_chars_result r = std::to_chars(buf, buf + sizeof(buf), value);
+  out->append(buf, r.ptr);
+}
+
 std::string FormatDouble(double value, int digits) {
-  std::string s = StrFormat("%.*g", digits, value);
+  std::string s;
+  AppendDouble(&s, value, digits);
   return s;
 }
 

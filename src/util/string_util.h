@@ -24,8 +24,18 @@ bool StartsWith(std::string_view s, std::string_view prefix);
 std::string StrFormat(const char* fmt, ...)
     __attribute__((format(printf, 1, 2)));
 
+/// Appends `value` formatted exactly as printf("%.*g", digits, value)
+/// would ("3.7", "0.012", "1e+20", "-0", "inf", "nan"), without printf
+/// or a heap allocation: std::to_chars in chars_format::general with an
+/// explicit precision is specified to match %.*g. `digits` must lie in
+/// [0, 100]; 0 means 1, as in printf.
+void AppendDouble(std::string* out, double value, int digits);
+
+/// Appends the decimal form of `value` (printf "%lld").
+void AppendInt(std::string* out, long long value);
+
 /// Formats a double with `digits` significant digits, trimming trailing
-/// zeros ("3.7", "0.012").
+/// zeros ("3.7", "0.012"); the same %.*g formatting as AppendDouble.
 std::string FormatDouble(double value, int digits = 6);
 
 }  // namespace stratlearn

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include "graph/examples.h"
+#include "workload/random_tree.h"
 #include "workload/synthetic_oracle.h"
 
 namespace stratlearn {
@@ -135,6 +136,28 @@ TEST(AdaptiveQpTest, EveryContextStillGetsAnswered) {
     if (has_answer) ++successes;
   }
   EXPECT_GT(successes, 50);
+}
+
+TEST(AdaptiveQpTest, CachedAimingStrategiesEqualFreshOnes) {
+  // Process reuses one aiming strategy per target; each cached one must
+  // be the strategy AimingStrategy builds from scratch, before and after
+  // contexts have run through the processor.
+  Rng shape(5);
+  RandomTreeOptions options;
+  options.depth = 3;
+  options.internal_experiment_prob = 0.3;
+  RandomTree tree = MakeRandomTree(shape, options);
+  int n = static_cast<int>(tree.graph.num_experiments());
+  AdaptiveQueryProcessor qpa(&tree.graph, std::vector<int64_t>(n, 20),
+                             AdaptiveQueryProcessor::QuotaMode::kReachAttempts);
+  Rng rng(8);
+  IndependentOracle oracle(tree.probs);
+  for (int i = 0; i < 100; ++i) qpa.Process(oracle.Next(rng));
+  for (int t = -1; t < n; ++t) {
+    const Strategy& cached = qpa.CachedAimingStrategy(t);
+    EXPECT_EQ(cached.arcs(), qpa.AimingStrategy(t).arcs()) << "target " << t;
+    EXPECT_EQ(&cached, &qpa.CachedAimingStrategy(t)) << "built twice";
+  }
 }
 
 }  // namespace
