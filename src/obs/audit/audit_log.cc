@@ -4,7 +4,7 @@
 #include <filesystem>
 #include <system_error>
 
-#include "obs/json_writer.h"
+#include "obs/event_codec.h"
 
 namespace stratlearn::obs {
 
@@ -190,25 +190,7 @@ void AuditLog::OnDecisionCertificate(const DecisionCertificateEvent& e) {
   w.BeginObject();
   w.Key("record").Value("certificate");
   w.Key("seq").Value(certificates_);
-  w.Key("t_us").Value(e.t_us);
-  w.Key("learner").Value(e.learner);
-  w.Key("decision").Value(e.decision);
-  w.Key("verdict").Value(e.verdict);
-  w.Key("at_context").Value(e.at_context);
-  w.Key("samples").Value(e.samples);
-  w.Key("trials").Value(e.trials);
-  w.Key("subject").Value(e.subject);
-  w.Key("mean").Value(e.mean);
-  w.Key("delta_sum").Value(e.delta_sum);
-  w.Key("threshold").Value(e.threshold);
-  w.Key("margin").Value(e.margin);
-  w.Key("range").Value(e.range);
-  w.Key("epsilon_n").Value(e.epsilon_n);
-  w.Key("delta_step").Value(e.delta_step);
-  w.Key("delta_budget").Value(e.delta_budget);
-  w.Key("delta_spent_total").Value(e.delta_spent_total);
-  w.Key("bound_samples").Value(e.bound_samples);
-  w.Key("epsilon").Value(e.epsilon);
+  WriteEventFields(w, e);
   w.Key("arcs").BeginArray();
   for (const auto& [arc, tally] : epoch_arcs_) {
     w.BeginObject();

@@ -3,6 +3,8 @@
 
 #include <cstdint>
 #include <string>
+#include <string_view>
+#include <tuple>
 
 namespace stratlearn::obs {
 
@@ -10,11 +12,51 @@ namespace stratlearn::obs {
 /// steady-clock time since the owning Observer was constructed; arc and
 /// experiment ids are plain integers so this header stays independent of
 /// the graph layer.
+///
+/// Each event describes itself once, and that description drives every
+/// codec (obs/event_codec.h):
+///   kType     its JSONL "type" (and its Chrome instant-event name);
+///   kChrome   its Chrome instant-event category and scope;
+///   Fields()  its serialised fields as {key, &Event::member}, in output
+///             order, t_us first. JsonlSink writes them all, Chrome
+///             instant events write all but t_us as "args", AuditLog
+///             writes the certificate's, and TraceReader / ReadAuditLog
+///             decode them (a missing or mistyped key leaves the
+///             member's default).
+
+/// One serialised field: its JSON key and the member that holds it.
+template <typename Event, typename T>
+struct EventField {
+  std::string_view key;
+  T Event::*member;
+};
+
+template <typename Event, typename T>
+constexpr EventField<Event, T> Field(std::string_view key, T Event::*member) {
+  return {key, member};
+}
+
+/// How ChromeTraceSink writes an event as an instant ("ph":"i"). An
+/// empty `cat` means no instant: QueryStart and ArcAttempt are left out
+/// of Chrome traces, and QueryEnd (a span) and QuotaProgress (a counter
+/// track) have hand-written layouts in ChromeTraceSink.
+struct ChromeInstant {
+  std::string_view cat;
+  std::string_view scope;  // "g": global, "t": thread
+};
 
 /// A query execution is starting (opens a span; closed by QueryEnd).
 struct QueryStartEvent {
   int64_t query_index = 0;
   int64_t t_us = 0;
+
+  static constexpr std::string_view kType = "query_start";
+  static constexpr ChromeInstant kChrome{};  // not in Chrome traces
+  static constexpr auto Fields() {
+    using E = QueryStartEvent;
+    return std::tuple{Field("t_us", &E::t_us),
+                      Field("query_index", &E::query_index)};
+  }
 };
 
 /// A query execution finished. `t_us` is the span's *start*; pairing it
@@ -27,6 +69,18 @@ struct QueryEndEvent {
   int64_t attempts = 0;
   int64_t successes = 0;
   bool success = false;
+
+  static constexpr std::string_view kType = "query_end";
+  static constexpr ChromeInstant kChrome{};  // a hand-written span
+  static constexpr auto Fields() {
+    using E = QueryEndEvent;
+    return std::tuple{Field("t_us", &E::t_us),
+                      Field("query_index", &E::query_index),
+                      Field("duration_us", &E::duration_us),
+                      Field("cost", &E::cost), Field("attempts", &E::attempts),
+                      Field("successes", &E::successes),
+                      Field("success", &E::success)};
+  }
 };
 
 /// One arc traversal attempt inside a query. `cost` is the full price of
@@ -40,6 +94,18 @@ struct ArcAttemptEvent {
   int experiment = -1;  // -1: deterministic arc
   bool unblocked = false;
   double cost = 0.0;
+
+  static constexpr std::string_view kType = "arc_attempt";
+  static constexpr ChromeInstant kChrome{};  // not in Chrome traces
+  static constexpr auto Fields() {
+    using E = ArcAttemptEvent;
+    return std::tuple{Field("t_us", &E::t_us),
+                      Field("query_index", &E::query_index),
+                      Field("arc", &E::arc),
+                      Field("experiment", &E::experiment),
+                      Field("unblocked", &E::unblocked),
+                      Field("cost", &E::cost)};
+  }
 };
 
 /// A hill-climber (PIB/PALO) adopted a neighbour strategy.
@@ -54,6 +120,21 @@ struct ClimbMoveEvent {
   double threshold = 0.0;   // the Equation-6 threshold it crossed
   double margin = 0.0;      // delta_sum - threshold
   double delta_spent = 0.0; // delta_i consumed from the lifetime budget
+
+  static constexpr std::string_view kType = "climb_move";
+  static constexpr ChromeInstant kChrome{"learner", "g"};
+  static constexpr auto Fields() {
+    using E = ClimbMoveEvent;
+    return std::tuple{Field("t_us", &E::t_us), Field("learner", &E::learner),
+                      Field("move_index", &E::move_index),
+                      Field("at_context", &E::at_context),
+                      Field("samples_used", &E::samples_used),
+                      Field("swap", &E::swap),
+                      Field("delta_sum", &E::delta_sum),
+                      Field("threshold", &E::threshold),
+                      Field("margin", &E::margin),
+                      Field("delta_spent", &E::delta_spent)};
+  }
 };
 
 /// Outcome of one sequential-test round (the best neighbour's numbers,
@@ -68,6 +149,20 @@ struct SequentialTestEvent {
   double best_delta_sum = 0.0;
   double best_threshold = 0.0;
   bool fired = false;
+
+  static constexpr std::string_view kType = "sequential_test";
+  static constexpr ChromeInstant kChrome{"learner", "t"};
+  static constexpr auto Fields() {
+    using E = SequentialTestEvent;
+    return std::tuple{Field("t_us", &E::t_us), Field("learner", &E::learner),
+                      Field("at_context", &E::at_context),
+                      Field("samples", &E::samples),
+                      Field("trial_count", &E::trial_count),
+                      Field("best_neighbor", &E::best_neighbor),
+                      Field("best_delta_sum", &E::best_delta_sum),
+                      Field("best_threshold", &E::best_threshold),
+                      Field("fired", &E::fired)};
+  }
 };
 
 /// Per-context progress of QP^A toward its Equation 7/8 sample quotas.
@@ -78,6 +173,17 @@ struct QuotaProgressEvent {
   bool reached = false;
   int64_t remaining_max = 0;    // largest single remaining quota
   int64_t remaining_total = 0;  // sum of positive remaining quotas
+
+  static constexpr std::string_view kType = "quota_progress";
+  static constexpr ChromeInstant kChrome{};  // a hand-written counter track
+  static constexpr auto Fields() {
+    using E = QuotaProgressEvent;
+    return std::tuple{Field("t_us", &E::t_us), Field("context", &E::context),
+                      Field("aimed_experiment", &E::aimed_experiment),
+                      Field("reached", &E::reached),
+                      Field("remaining_max", &E::remaining_max),
+                      Field("remaining_total", &E::remaining_total)};
+  }
 };
 
 /// The resilient executor retried a faulted retrieval attempt (or gave
@@ -95,6 +201,19 @@ struct RetryEvent {
   /// Retries exhausted: the attempt is recorded as blocked with the
   /// arc's pessimistic failure cost charged, keeping Delta~ conservative.
   bool gave_up = false;
+
+  static constexpr std::string_view kType = "retry";
+  static constexpr ChromeInstant kChrome{"robust", "t"};
+  static constexpr auto Fields() {
+    using E = RetryEvent;
+    return std::tuple{Field("t_us", &E::t_us),
+                      Field("query_index", &E::query_index),
+                      Field("arc", &E::arc),
+                      Field("experiment", &E::experiment),
+                      Field("fault", &E::fault), Field("attempt", &E::attempt),
+                      Field("backoff_cost", &E::backoff_cost),
+                      Field("gave_up", &E::gave_up)};
+  }
 };
 
 /// A per-arc circuit breaker changed state. "open": the arc's retrieval
@@ -112,6 +231,19 @@ struct BreakerEvent {
   std::string state;  // "open" | "half_open" | "closed"
   int64_t consecutive_failures = 0;
   int64_t cooldown_until = 0;  // resilient-query index when it re-arms
+
+  static constexpr std::string_view kType = "breaker";
+  static constexpr ChromeInstant kChrome{"robust", "g"};
+  static constexpr auto Fields() {
+    using E = BreakerEvent;
+    return std::tuple{Field("t_us", &E::t_us),
+                      Field("query_index", &E::query_index),
+                      Field("arc", &E::arc),
+                      Field("experiment", &E::experiment),
+                      Field("state", &E::state),
+                      Field("consecutive_failures", &E::consecutive_failures),
+                      Field("cooldown_until", &E::cooldown_until)};
+  }
 };
 
 /// A query exceeded its cost/deadline budget and was abandoned as
@@ -124,6 +256,16 @@ struct DegradedEvent {
   double cost = 0.0;    // cost accrued when the budget tripped
   double budget = 0.0;  // the configured per-query budget
   int64_t attempts = 0; // arc attempts completed before degrading
+
+  static constexpr std::string_view kType = "degraded";
+  static constexpr ChromeInstant kChrome{"robust", "g"};
+  static constexpr auto Fields() {
+    using E = DegradedEvent;
+    return std::tuple{Field("t_us", &E::t_us),
+                      Field("query_index", &E::query_index),
+                      Field("cost", &E::cost), Field("budget", &E::budget),
+                      Field("attempts", &E::attempts)};
+  }
 };
 
 /// A statistical drift detector changed state for one monitored
@@ -144,6 +286,21 @@ struct DriftEvent {
   int64_t window = 0;      // index of the window that fired the test
   int64_t window_start_us = 0;
   int64_t window_end_us = 0;
+
+  static constexpr std::string_view kType = "drift";
+  static constexpr ChromeInstant kChrome{"health", "g"};
+  static constexpr auto Fields() {
+    using E = DriftEvent;
+    return std::tuple{Field("t_us", &E::t_us), Field("detector", &E::detector),
+                      Field("state", &E::state), Field("arc", &E::arc),
+                      Field("counter", &E::counter),
+                      Field("statistic", &E::statistic),
+                      Field("reference", &E::reference),
+                      Field("threshold", &E::threshold),
+                      Field("window", &E::window),
+                      Field("window_start_us", &E::window_start_us),
+                      Field("window_end_us", &E::window_end_us)};
+  }
 };
 
 /// An alert rule crossed its firing/resolved transition. Emitted only
@@ -159,6 +316,19 @@ struct AlertEvent {
   double threshold = 0.0;
   int64_t window = 0;       // index of the transition window
   int64_t for_windows = 0;  // consecutive breaches required to fire
+
+  static constexpr std::string_view kType = "alert";
+  static constexpr ChromeInstant kChrome{"health", "g"};
+  static constexpr auto Fields() {
+    using E = AlertEvent;
+    return std::tuple{Field("t_us", &E::t_us), Field("rule", &E::rule),
+                      Field("state", &E::state),
+                      Field("severity", &E::severity),
+                      Field("metric", &E::metric), Field("value", &E::value),
+                      Field("threshold", &E::threshold),
+                      Field("window", &E::window),
+                      Field("for_windows", &E::for_windows)};
+  }
 };
 
 /// The recovery controller decided (and, in a live run, executed) one
@@ -182,6 +352,21 @@ struct RecoveryEvent {
   double statistic = 0.0;
   double reference = 0.0;
   double threshold = 0.0;
+
+  static constexpr std::string_view kType = "recovery";
+  static constexpr ChromeInstant kChrome{"health", "g"};
+  static constexpr auto Fields() {
+    using E = RecoveryEvent;
+    return std::tuple{Field("t_us", &E::t_us), Field("rule", &E::rule),
+                      Field("trigger", &E::trigger),
+                      Field("action", &E::action),
+                      Field("outcome", &E::outcome), Field("arc", &E::arc),
+                      Field("window", &E::window),
+                      Field("matched", &E::matched),
+                      Field("statistic", &E::statistic),
+                      Field("reference", &E::reference),
+                      Field("threshold", &E::threshold)};
+  }
 };
 
 /// PALO certified an epsilon-local optimum and stopped.
@@ -193,6 +378,16 @@ struct PaloStopEvent {
   /// max over neighbours of (mean over-estimate + Hoeffding deviation);
   /// the stop fired because this dropped below epsilon.
   double worst_certificate = 0.0;
+
+  static constexpr std::string_view kType = "palo_stop";
+  static constexpr ChromeInstant kChrome{"learner", "g"};
+  static constexpr auto Fields() {
+    using E = PaloStopEvent;
+    return std::tuple{Field("t_us", &E::t_us),
+                      Field("at_context", &E::at_context),
+                      Field("moves", &E::moves), Field("epsilon", &E::epsilon),
+                      Field("worst_certificate", &E::worst_certificate)};
+  }
 };
 
 /// A machine-checkable PAC certificate for one statistically
@@ -225,7 +420,49 @@ struct DecisionCertificateEvent {
   /// (0 when no closed-form bound applies).
   int64_t bound_samples = 0;
   double epsilon = 0.0;  // PALO/PAO epsilon; 0 for PIB/PIB1
+
+  static constexpr std::string_view kType = "decision_certificate";
+  static constexpr ChromeInstant kChrome{"audit", "g"};
+  static constexpr auto Fields() {
+    using E = DecisionCertificateEvent;
+    return std::tuple{Field("t_us", &E::t_us), Field("learner", &E::learner),
+                      Field("decision", &E::decision),
+                      Field("verdict", &E::verdict),
+                      Field("at_context", &E::at_context),
+                      Field("samples", &E::samples),
+                      Field("trials", &E::trials),
+                      Field("subject", &E::subject), Field("mean", &E::mean),
+                      Field("delta_sum", &E::delta_sum),
+                      Field("threshold", &E::threshold),
+                      Field("margin", &E::margin), Field("range", &E::range),
+                      Field("epsilon_n", &E::epsilon_n),
+                      Field("delta_step", &E::delta_step),
+                      Field("delta_budget", &E::delta_budget),
+                      Field("delta_spent_total", &E::delta_spent_total),
+                      Field("bound_samples", &E::bound_samples),
+                      Field("epsilon", &E::epsilon)};
+  }
 };
+
+/// Every event type, in TraceSink handler order. X(Name) stands for the
+/// struct Name##Event and its handler TraceSink::On##Name; TraceSink's
+/// handlers, the sinks that treat every event alike (GenericSink) and
+/// TraceReader's decoders are all generated from this list.
+#define STRATLEARN_OBS_EVENTS(X) \
+  X(QueryStart)                  \
+  X(QueryEnd)                    \
+  X(ArcAttempt)                  \
+  X(ClimbMove)                   \
+  X(SequentialTest)              \
+  X(QuotaProgress)               \
+  X(PaloStop)                    \
+  X(Retry)                       \
+  X(Breaker)                     \
+  X(Degraded)                    \
+  X(Drift)                       \
+  X(Alert)                       \
+  X(DecisionCertificate)         \
+  X(Recovery)
 
 }  // namespace stratlearn::obs
 

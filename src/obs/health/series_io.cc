@@ -15,16 +15,6 @@ Status Malformed(int line, const std::string& why) {
       StrFormat("line %d: %s", line, why.c_str()));
 }
 
-double NumberOr(const JsonValue* v, double fallback) {
-  return (v != nullptr && v->kind == JsonValue::Kind::kNumber) ? v->number
-                                                               : fallback;
-}
-
-int64_t IntOr(const JsonValue* v, int64_t fallback) {
-  return static_cast<int64_t>(
-      NumberOr(v, static_cast<double>(fallback)));
-}
-
 }  // namespace
 
 Status LoadTimeSeries(std::istream& in, LoadedSeries* out) {
@@ -64,14 +54,15 @@ Status LoadTimeSeries(std::istream& in, LoadedSeries* out) {
     if (const JsonValue* counters = value.Get("counters");
         counters != nullptr && counters->kind == JsonValue::Kind::kObject) {
       for (const auto& [name, c] : counters->object) {
-        window.cumulative.counters[name] = IntOr(c.Get("total"), 0);
-        window.counter_deltas[name] = IntOr(c.Get("delta"), 0);
+        (void)ReadJsonInt(c, "total", &window.cumulative.counters[name]);
+        (void)ReadJsonInt(c, "delta", &window.counter_deltas[name]);
       }
     }
     if (const JsonValue* gauges = value.Get("gauges");
         gauges != nullptr && gauges->kind == JsonValue::Kind::kObject) {
       for (const auto& [name, g] : gauges->object) {
-        window.cumulative.gauges[name] = NumberOr(&g, 0.0);
+        window.cumulative.gauges[name] =
+            g.kind == JsonValue::Kind::kNumber ? g.number : 0.0;
       }
     }
     if (const JsonValue* histograms = value.Get("histograms");
@@ -79,12 +70,12 @@ Status LoadTimeSeries(std::istream& in, LoadedSeries* out) {
         histograms->kind == JsonValue::Kind::kObject) {
       for (const auto& [name, h] : histograms->object) {
         HistogramDelta delta;
-        delta.count = IntOr(h.Get("count_delta"), 0);
-        delta.sum = NumberOr(h.Get("sum_delta"), 0.0);
+        (void)ReadJsonInt(h, "count_delta", &delta.count);
+        (void)ReadJsonDouble(h, "sum_delta", &delta.sum);
         window.histogram_deltas[name] = delta;
         HistogramSnapshot total;
-        total.count = IntOr(h.Get("count_total"), 0);
-        total.sum = NumberOr(h.Get("sum_total"), 0.0);
+        (void)ReadJsonInt(h, "count_total", &total.count);
+        (void)ReadJsonDouble(h, "sum_total", &total.sum);
         window.cumulative.histograms[name] = std::move(total);
       }
     }
@@ -95,14 +86,15 @@ Status LoadTimeSeries(std::istream& in, LoadedSeries* out) {
           return Malformed(line_number, "arc entry is not an object");
         }
         ArcWindowStats stats;
-        int64_t arc = IntOr(a.Get("arc"), -1);
+        int64_t arc = -1;
+        (void)ReadJsonInt(a, "arc", &arc);
         if (arc < 0) {
           return Malformed(line_number, "arc entry lacks an \"arc\" id");
         }
         stats.arc = static_cast<uint32_t>(arc);
-        stats.attempts = IntOr(a.Get("attempts"), 0);
-        stats.unblocked = IntOr(a.Get("unblocked"), 0);
-        stats.cost = NumberOr(a.Get("cost"), 0.0);
+        (void)ReadJsonInt(a, "attempts", &stats.attempts);
+        (void)ReadJsonInt(a, "unblocked", &stats.unblocked);
+        (void)ReadJsonDouble(a, "cost", &stats.cost);
         window.arcs.push_back(std::move(stats));
       }
     }

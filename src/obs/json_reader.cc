@@ -183,7 +183,7 @@ bool ParseJson(const std::string& text, JsonValue* out) {
   return JsonParser(text).Parse(out);
 }
 
-bool ReadJsonDouble(const JsonValue& object, const std::string& key,
+bool ReadJsonDouble(const JsonValue& object, std::string_view key,
                     double* out) {
   const JsonValue* v = object.Get(key);
   if (v == nullptr || v->kind != JsonValue::Kind::kNumber) return false;
@@ -191,18 +191,32 @@ bool ReadJsonDouble(const JsonValue& object, const std::string& key,
   return true;
 }
 
-bool ReadJsonInt(const JsonValue& object, const std::string& key,
-                 int64_t* out) {
+bool ReadJsonInt(const JsonValue& object, std::string_view key, int64_t* out) {
   double d = 0.0;
   if (!ReadJsonDouble(object, key, &d)) return false;
   *out = static_cast<int64_t>(d);
   return true;
 }
 
-std::string ReadJsonString(const JsonValue& object, const std::string& key) {
+bool ReadJsonBool(const JsonValue& object, std::string_view key, bool* out) {
   const JsonValue* v = object.Get(key);
-  return (v != nullptr && v->kind == JsonValue::Kind::kString) ? v->string
-                                                               : "";
+  if (v == nullptr || v->kind != JsonValue::Kind::kBool) return false;
+  *out = v->boolean;
+  return true;
+}
+
+bool ReadJsonString(const JsonValue& object, std::string_view key,
+                    std::string* out) {
+  const JsonValue* v = object.Get(key);
+  if (v == nullptr || v->kind != JsonValue::Kind::kString) return false;
+  *out = v->string;
+  return true;
+}
+
+std::string ReadJsonString(const JsonValue& object, std::string_view key) {
+  std::string out;
+  ReadJsonString(object, key, &out);
+  return out;
 }
 
 }  // namespace stratlearn::obs

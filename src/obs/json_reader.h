@@ -3,6 +3,7 @@
 
 #include <cstdint>
 #include <string>
+#include <string_view>
 #include <utility>
 #include <vector>
 
@@ -23,7 +24,7 @@ struct JsonValue {
   std::vector<JsonValue> array;
   std::vector<std::pair<std::string, JsonValue>> object;
 
-  const JsonValue* Get(const std::string& key) const {
+  const JsonValue* Get(std::string_view key) const {
     for (const auto& [k, v] : object) {
       if (k == key) return &v;
     }
@@ -35,13 +36,18 @@ struct JsonValue {
 /// `text`. Returns false on any syntax error or trailing garbage.
 bool ParseJson(const std::string& text, JsonValue* out);
 
-/// Typed field accessors over an object value; false / "" when the key
-/// is absent or has the wrong kind.
-bool ReadJsonDouble(const JsonValue& object, const std::string& key,
+/// Typed field accessors over an object value. Each returns false and
+/// leaves `*out` untouched when the key is absent or holds another JSON
+/// kind, so a caller that initialises `*out` gets that as the fallback.
+/// ReadJsonInt truncates the number toward zero.
+bool ReadJsonDouble(const JsonValue& object, std::string_view key,
                     double* out);
-bool ReadJsonInt(const JsonValue& object, const std::string& key,
-                 int64_t* out);
-std::string ReadJsonString(const JsonValue& object, const std::string& key);
+bool ReadJsonInt(const JsonValue& object, std::string_view key, int64_t* out);
+bool ReadJsonBool(const JsonValue& object, std::string_view key, bool* out);
+bool ReadJsonString(const JsonValue& object, std::string_view key,
+                    std::string* out);
+/// The string at `key`, or "" when absent or not a string.
+std::string ReadJsonString(const JsonValue& object, std::string_view key);
 
 }  // namespace stratlearn::obs
 

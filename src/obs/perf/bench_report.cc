@@ -9,28 +9,6 @@
 #include "util/string_util.h"
 
 namespace stratlearn::obs::perf {
-namespace {
-
-// The JSON DOM lives in obs/json_reader.h, shared with stats_report.
-using obs::JsonValue;
-using obs::ReadJsonDouble;
-using obs::ReadJsonInt;
-using obs::ReadJsonString;
-
-bool ReadDouble(const JsonValue& object, const std::string& key,
-                double* out) {
-  return ReadJsonDouble(object, key, out);
-}
-
-bool ReadInt(const JsonValue& object, const std::string& key, int64_t* out) {
-  return ReadJsonInt(object, key, out);
-}
-
-std::string ReadString(const JsonValue& object, const std::string& key) {
-  return ReadJsonString(object, key);
-}
-
-}  // namespace
 
 Result<BenchReport> ParseBenchReport(const std::string& json_text) {
   JsonValue root;
@@ -38,50 +16,47 @@ Result<BenchReport> ParseBenchReport(const std::string& json_text) {
       root.kind != JsonValue::Kind::kObject) {
     return Status::InvalidArgument("not well-formed JSON");
   }
-  std::string schema = ReadString(root, "schema");
+  std::string schema = ReadJsonString(root, "schema");
   if (schema != "stratlearn-bench-v1") {
     return Status::InvalidArgument(
         schema.empty() ? "missing \"schema\" tag"
                        : "unknown schema '" + schema + "'");
   }
   BenchReport report;
-  report.workload = ReadString(root, "workload");
+  report.workload = ReadJsonString(root, "workload");
   if (report.workload.empty()) {
     return Status::InvalidArgument("missing \"workload\" name");
   }
   if (const JsonValue* manifest = root.Get("manifest");
       manifest != nullptr && manifest->kind == JsonValue::Kind::kObject) {
-    report.git_sha = ReadString(*manifest, "git_sha");
-    report.timestamp = ReadString(*manifest, "timestamp");
-    report.build_type = ReadString(*manifest, "build_type");
+    report.git_sha = ReadJsonString(*manifest, "git_sha");
+    report.timestamp = ReadJsonString(*manifest, "timestamp");
+    report.build_type = ReadJsonString(*manifest, "build_type");
     int64_t seed = 0;
-    if (ReadInt(*manifest, "seed", &seed)) {
+    if (ReadJsonInt(*manifest, "seed", &seed)) {
       report.seed = static_cast<uint64_t>(seed);
     }
   }
   if (const JsonValue* config = root.Get("config");
       config != nullptr && config->kind == JsonValue::Kind::kObject) {
-    (void)ReadInt(*config, "repetitions", &report.repetitions);
-    if (const JsonValue* fake = config->Get("fake_clock");
-        fake != nullptr && fake->kind == JsonValue::Kind::kBool) {
-      report.fake_clock = fake->boolean;
-    }
+    (void)ReadJsonInt(*config, "repetitions", &report.repetitions);
+    (void)ReadJsonBool(*config, "fake_clock", &report.fake_clock);
   }
   const JsonValue* wall = root.Get("wall_us");
   if (wall == nullptr || wall->kind != JsonValue::Kind::kObject) {
     return Status::InvalidArgument("missing \"wall_us\" section");
   }
-  if (!ReadInt(*wall, "count", &report.count) ||
-      !ReadDouble(*wall, "p50", &report.p50) ||
-      !ReadDouble(*wall, "p90", &report.p90) ||
-      !ReadDouble(*wall, "p99", &report.p99)) {
+  if (!ReadJsonInt(*wall, "count", &report.count) ||
+      !ReadJsonDouble(*wall, "p50", &report.p50) ||
+      !ReadJsonDouble(*wall, "p90", &report.p90) ||
+      !ReadJsonDouble(*wall, "p99", &report.p99)) {
     return Status::InvalidArgument(
         "wall_us needs numeric count/p50/p90/p99");
   }
-  (void)ReadDouble(*wall, "sum", &report.sum);
-  (void)ReadDouble(*wall, "min", &report.min);
-  (void)ReadDouble(*wall, "max", &report.max);
-  (void)ReadDouble(*wall, "mean", &report.mean);
+  (void)ReadJsonDouble(*wall, "sum", &report.sum);
+  (void)ReadJsonDouble(*wall, "min", &report.min);
+  (void)ReadJsonDouble(*wall, "max", &report.max);
+  (void)ReadJsonDouble(*wall, "mean", &report.mean);
   if (const JsonValue* counters = root.Get("counters");
       counters != nullptr && counters->kind == JsonValue::Kind::kObject) {
     for (const auto& [name, value] : counters->object) {
@@ -99,8 +74,8 @@ Result<BenchReport> ParseBenchReport(const std::string& json_text) {
       }
     }
   }
-  (void)ReadDouble(root, "work_units", &report.work_units);
-  (void)ReadInt(root, "peak_rss_kb", &report.peak_rss_kb);
+  (void)ReadJsonDouble(root, "work_units", &report.work_units);
+  (void)ReadJsonInt(root, "peak_rss_kb", &report.peak_rss_kb);
   return report;
 }
 

@@ -1,8 +1,10 @@
 #include "obs/perf/workloads.h"
 
-#include <cstdio>
+#include <cstdlib>
+#include <filesystem>
 #include <memory>
 #include <string>
+#include <system_error>
 #include <utility>
 
 #include <sstream>
@@ -518,10 +520,13 @@ class DriftRecoverInstance : public BenchWorkloadInstance {
                                      Strategy::DepthFirst(tree_.graph),
                                      PibOptions{.delta = kDelta}, &observer);
 
-    std::string ring_base =
-        StrFormat("/tmp/stratlearn_drift_recover_%llu",
-                  static_cast<unsigned long long>(seed_));
-    robust::CheckpointRing ring(ring_base, 3);
+    // A fresh directory per run, so concurrent runs never share slots.
+    std::string ring_dir = (std::filesystem::temp_directory_path() /
+                            "stratlearn_drift_recover_XXXXXX")
+                               .string();
+    STRATLEARN_CHECK_MSG(mkdtemp(ring_dir.data()) != nullptr,
+                         "drift_recover: cannot create a temporary directory");
+    robust::CheckpointRing ring(ring_dir + "/ring", 3);
     std::unique_ptr<robust::RecoveryController> controller;
     int64_t cold_restarts = 0;
     if (!policy.empty()) {
@@ -602,9 +607,8 @@ class DriftRecoverInstance : public BenchWorkloadInstance {
     }
     out.actions =
         controller != nullptr ? controller->actions_applied() : cold_restarts;
-    for (int64_t slot = 0; slot < ring.slots(); ++slot) {
-      std::remove(ring.SlotPath(slot).c_str());
-    }
+    std::error_code ignored;
+    std::filesystem::remove_all(ring_dir, ignored);
     return out;
   }
 
