@@ -126,6 +126,24 @@ void BM_UpsilonFlat(benchmark::State& state) {
 }
 BENCHMARK(BM_UpsilonFlat)->Range(64, 16384)->Complexity();
 
+void BM_UpsilonGuarded(benchmark::State& state) {
+  // The pao_traced tree: guards above branching subtrees put it outside
+  // the block-merge class, so Upsilon takes its exact path.
+  Rng shape(2);
+  RandomTreeOptions options;
+  options.depth = 3;
+  options.min_branch = 2;
+  options.max_branch = 3;
+  options.internal_experiment_prob = 0.3;
+  RandomTree tree = MakeRandomTree(shape, options);
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(UpsilonAot(tree.graph, tree.probs));
+  }
+  state.counters["leaves"] =
+      static_cast<double>(tree.graph.SuccessArcs().size());
+}
+BENCHMARK(BM_UpsilonGuarded)->Unit(benchmark::kMicrosecond);
+
 void BM_PibObserve(benchmark::State& state) {
   RandomTree tree = MakeTree(static_cast<int>(state.range(0)));
   Pib pib(&tree.graph, Strategy::DepthFirst(tree.graph),

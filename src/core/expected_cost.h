@@ -1,6 +1,7 @@
 #ifndef STRATLEARN_CORE_EXPECTED_COST_H_
 #define STRATLEARN_CORE_EXPECTED_COST_H_
 
+#include <cstddef>
 #include <utility>
 #include <vector>
 
@@ -60,6 +61,19 @@ struct OptimalResult {
 Result<OptimalResult> BruteForceOptimal(const InferenceGraph& graph,
                                         const std::vector<double>& probs,
                                         size_t max_leaves = 8);
+
+/// Largest leaf count SubsetDpOptimal accepts: its table holds 2^n
+/// doubles (8 MiB at 20 leaves).
+inline constexpr size_t kMaxSubsetDpLeaves = 20;
+
+/// The same answer as BruteForceOptimal — the same strategy and a
+/// bit-identical cost — from a dynamic program over leaf *sets* instead
+/// of leaf orders: O(2^n * n * |A|^2) rather than O(n! * |A|^2) for n
+/// success arcs. With exact cost ties (e.g. a leaf that always succeeds,
+/// after which every order costs the same) it ranks up to (n-1)! tied
+/// orders. Requires at most kMaxSubsetDpLeaves success arcs.
+Result<OptimalResult> SubsetDpOptimal(const InferenceGraph& graph,
+                                      const std::vector<double>& probs);
 
 }  // namespace stratlearn
 

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <deque>
 #include <limits>
+#include <utility>
 #include <vector>
 
 #include "core/expected_cost.h"
@@ -163,13 +164,13 @@ Result<UpsilonResult> UpsilonAot(const InferenceGraph& graph,
 
   const bool exact_class = IsBlockMergeExact(graph);
   if (!exact_class &&
-      graph.SuccessArcs().size() <= options.max_brute_force_leaves) {
-    Result<OptimalResult> brute =
-        BruteForceOptimal(graph, probs, options.max_brute_force_leaves);
-    if (!brute.ok()) return brute.status();
+      graph.SuccessArcs().size() <=
+          std::min(options.max_brute_force_leaves, kMaxSubsetDpLeaves)) {
+    Result<OptimalResult> best = SubsetDpOptimal(graph, probs);
+    if (!best.ok()) return best.status();
     UpsilonResult out;
-    out.strategy = brute->strategy;
-    out.expected_cost = brute->cost;
+    out.strategy = std::move(best->strategy);
+    out.expected_cost = best->cost;
     out.exact = true;
     return out;
   }

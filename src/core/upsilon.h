@@ -11,8 +11,10 @@ namespace stratlearn {
 
 /// Options for the Upsilon_AOT optimal-strategy computation.
 struct UpsilonOptions {
-  /// Graphs outside the provably-optimal class fall back to exhaustive
-  /// search when they have at most this many success arcs.
+  /// Graphs outside the block-merge class are solved exactly, by the
+  /// subset DP of SubsetDpOptimal, when they have at most this many
+  /// success arcs (and at most kMaxSubsetDpLeaves). The DP returns what
+  /// exhaustive search over leaf orders would, hence the name.
   size_t max_brute_force_leaves = 8;
   /// When brute force is also infeasible, allow the near-optimal
   /// approximation (paper Section 4: the efficient Upsilon~_G of
@@ -46,7 +48,9 @@ struct UpsilonResult {
 ///     decomposition).
 ///
 /// Graphs with internal experiments (guards, conjunctive chains) are
-/// solved exactly by brute force when small, else approximately by
+/// solved exactly by a subset DP when small (SubsetDpOptimal: exponential
+/// over leaf sets rather than leaf orders, and bit-identical to the
+/// BruteForceOptimal oracle), else approximately by
 /// collapsing each terminal chain into a composite job and treating
 /// remaining internal experiments as deterministic prefix jobs.
 Result<UpsilonResult> UpsilonAot(const InferenceGraph& graph,

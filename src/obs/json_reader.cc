@@ -139,11 +139,28 @@ class JsonParser {
           case 'r': out->push_back('\r'); break;
           case 't': out->push_back('\t'); break;
           case 'u': {
-            // Our writers never emit \u escapes; accept and keep the
-            // raw sequence so foreign files still parse.
-            if (pos_ + 4 > text_.size()) return false;
-            out->append("\\u").append(text_, pos_, 4);
-            pos_ += 4;
+            // JsonWriter escapes control bytes as \u00XX; decode every
+            // \u escape to UTF-8 so strings read back as written.
+            uint32_t code = 0;
+            if (!ParseHex4(&code)) return false;
+            if (code >= 0xD800 && code < 0xDC00) {
+              // A high surrogate needs a low one right after it.
+              uint32_t low = 0;
+              size_t save = pos_;
+              if (text_.compare(pos_, 2, "\\u") == 0) {
+                pos_ += 2;
+                if (!ParseHex4(&low)) return false;
+              }
+              if (low >= 0xDC00 && low < 0xE000) {
+                code = 0x10000 + ((code - 0xD800) << 10) + (low - 0xDC00);
+              } else {
+                code = kReplacementChar;
+                pos_ = save;
+              }
+            } else if (code >= 0xDC00 && code < 0xE000) {
+              code = kReplacementChar;
+            }
+            AppendUtf8(code, out);
             break;
           }
           default:
@@ -155,6 +172,51 @@ class JsonParser {
     }
     return false;  // unterminated
   }
+
+  /// Reads four hex digits into `*code`; false (consuming nothing) when
+  /// any is missing or not a hex digit.
+  bool ParseHex4(uint32_t* code) {
+    if (pos_ + 4 > text_.size()) return false;
+    uint32_t value = 0;
+    for (size_t i = 0; i < 4; ++i) {
+      char h = text_[pos_ + i];
+      uint32_t digit;
+      if (h >= '0' && h <= '9') {
+        digit = static_cast<uint32_t>(h - '0');
+      } else if (h >= 'a' && h <= 'f') {
+        digit = static_cast<uint32_t>(h - 'a' + 10);
+      } else if (h >= 'A' && h <= 'F') {
+        digit = static_cast<uint32_t>(h - 'A' + 10);
+      } else {
+        return false;
+      }
+      value = value << 4 | digit;
+    }
+    pos_ += 4;
+    *code = value;
+    return true;
+  }
+
+  static void AppendUtf8(uint32_t code, std::string* out) {
+    if (code < 0x80) {
+      out->push_back(static_cast<char>(code));
+    } else if (code < 0x800) {
+      out->push_back(static_cast<char>(0xC0 | code >> 6));
+      out->push_back(static_cast<char>(0x80 | (code & 0x3F)));
+    } else if (code < 0x10000) {
+      out->push_back(static_cast<char>(0xE0 | code >> 12));
+      out->push_back(static_cast<char>(0x80 | (code >> 6 & 0x3F)));
+      out->push_back(static_cast<char>(0x80 | (code & 0x3F)));
+    } else {
+      out->push_back(static_cast<char>(0xF0 | code >> 18));
+      out->push_back(static_cast<char>(0x80 | (code >> 12 & 0x3F)));
+      out->push_back(static_cast<char>(0x80 | (code >> 6 & 0x3F)));
+      out->push_back(static_cast<char>(0x80 | (code & 0x3F)));
+    }
+  }
+
+  /// U+FFFD, what a lone surrogate decodes to.
+  static constexpr uint32_t kReplacementChar = 0xFFFD;
 
   bool ParseNumber(JsonValue* out) {
     size_t start = pos_;

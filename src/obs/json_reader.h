@@ -13,8 +13,10 @@ namespace stratlearn::obs {
 /// over BENCH_*.json, stats_report over time-series files).
 /// obs::JsonWriter only writes and obs::IsValidJson only validates;
 /// these tools need actual values. Scope-limited on purpose: objects,
-/// arrays, strings, numbers, bools, null — no \u decoding beyond
-/// pass-through, no duplicate-key policy.
+/// arrays, strings, numbers, bools, null, no duplicate-key policy.
+/// String escapes, \uXXXX and surrogate pairs included, decode to UTF-8
+/// (a lone surrogate to U+FFFD), so what JsonWriter wrote reads back
+/// byte for byte.
 struct JsonValue {
   enum class Kind { kNull, kBool, kNumber, kString, kArray, kObject };
   Kind kind = Kind::kNull;

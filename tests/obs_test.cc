@@ -13,6 +13,7 @@
 
 #include "core/pib.h"
 #include "engine/query_processor.h"
+#include "obs/json_reader.h"
 #include "obs/json_writer.h"
 #include "obs/metrics.h"
 #include "obs/observer.h"
@@ -50,6 +51,41 @@ TEST(JsonWriterTest, NonFiniteDoublesBecomeNull) {
   w.Value(std::nan(""));
   w.EndArray();
   EXPECT_EQ(w.str(), "[null,null]");
+}
+
+std::string ParsedString(const std::string& json) {
+  obs::JsonValue v;
+  if (!obs::ParseJson(json, &v) || v.kind != obs::JsonValue::Kind::kString) {
+    return "<parse error>";
+  }
+  return v.string;
+}
+
+TEST(JsonReaderTest, DecodesUnicodeEscapesToUtf8) {
+  EXPECT_EQ(ParsedString(R"("a\u0001b\u001F")"), "a\x01" "b\x1f");
+  EXPECT_EQ(ParsedString(R"("\u00e9\u20AC")"), "\xC3\xA9\xE2\x82\xAC");
+  // A surrogate pair is one supplementary code point (U+1F600).
+  EXPECT_EQ(ParsedString(R"("\ud83d\ude00")"), "\xF0\x9F\x98\x80");
+  // A lone surrogate of either half decodes to U+FFFD; an escape after
+  // an unpaired high surrogate still decodes on its own.
+  EXPECT_EQ(ParsedString(R"("\ud83dx")"), "\xEF\xBF\xBDx");
+  EXPECT_EQ(ParsedString(R"("\ude00")"), "\xEF\xBF\xBD");
+  EXPECT_EQ(ParsedString(R"("\ud83d\u0041")"), "\xEF\xBF\xBD" "A");
+}
+
+TEST(JsonReaderTest, RejectsBadUnicodeEscapes) {
+  obs::JsonValue v;
+  EXPECT_FALSE(obs::ParseJson(R"("\u00g1")", &v));
+  EXPECT_FALSE(obs::ParseJson(R"("\u12")", &v));
+  EXPECT_FALSE(obs::ParseJson(R"("\ud83d\uzzzz")", &v));
+  EXPECT_FALSE(obs::ParseJson(R"("\u)", &v));
+}
+
+TEST(JsonReaderTest, ReadsBackWhatTheWriterEscapes) {
+  std::string raw = "ctl\x01\x1f\x7f tab\t quote\" slash\\ \xC3\xA9";
+  JsonWriter w;
+  w.Value(raw);
+  EXPECT_EQ(ParsedString(w.str()), raw);
 }
 
 TEST(JsonValidatorTest, AcceptsAndRejects) {

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include "core/expected_cost.h"
+#include "core/upsilon.h"
 #include "graph/examples.h"
 #include "stats/chernoff.h"
 #include "workload/random_tree.h"
@@ -171,6 +172,33 @@ TEST(PaoTest, WorksOnRandomTrees) {
     double cost = ExactExpectedCost(tree.graph, result->strategy, tree.probs);
     EXPECT_LE(cost, opt->expected_cost + options.epsilon + 1e-9);
   }
+}
+
+TEST(PaoTest, GuardedTreeEndsInTheExhaustiveOptimum) {
+  // A guard above a branching subtree takes Upsilon's exact subset-DP
+  // path; PAO must hand back exactly what exhaustive search returns for
+  // its own estimates.
+  Rng shape(2);
+  RandomTreeOptions tree_options;
+  tree_options.depth = 3;
+  tree_options.internal_experiment_prob = 0.3;
+  RandomTree tree = MakeRandomTree(shape, tree_options);
+  ASSERT_FALSE(IsBlockMergeExact(tree.graph));
+  ASSERT_LE(tree.graph.SuccessArcs().size(), 8u);
+
+  IndependentOracle oracle(tree.probs);
+  Rng rng(8);
+  PaoOptions options;
+  options.epsilon = 0.25 * tree.graph.TotalCost();
+  options.delta = 0.2;
+  options.mode = PaoOptions::Mode::kTheorem3;
+  Result<PaoResult> result = Pao::Run(tree.graph, oracle, rng, options);
+  ASSERT_TRUE(result.ok()) << result.status().ToString();
+  EXPECT_TRUE(result->upsilon_exact);
+  Result<OptimalResult> brute =
+      BruteForceOptimal(tree.graph, result->estimates, 8);
+  ASSERT_TRUE(brute.ok());
+  EXPECT_EQ(result->strategy.arcs(), brute->strategy.arcs());
 }
 
 }  // namespace

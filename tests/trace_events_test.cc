@@ -430,11 +430,9 @@ TEST(TraceReaderRoundTripTest, EveryEventTypeBitExact) {
   AllEvents want;
   want.drift.statistic = 0.0;
   want.recovery.statistic = 0.0;
-  // ParseJson keeps \uXXXX escapes verbatim instead of decoding them,
-  // so control characters other than \t, \n and friends come back as
-  // their six-character escape.
-  want.climb_move.swap = "swap\t2<->5\nunder \\u0001node";
-  want.recovery.trigger = "alert:\\u001f";
+  // Control bytes are written as \u00XX escapes and read back raw.
+  EXPECT_EQ(want.climb_move.swap, "swap\t2<->5\nunder \x01node");
+  EXPECT_EQ(want.recovery.trigger, "alert:\x1f");
   ExpectOneOfEach(collected, want);
 }
 

@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <cstring>
+
 #include "core/expected_cost.h"
 #include "graph/examples.h"
 #include "util/math_util.h"
@@ -130,8 +132,9 @@ INSTANTIATE_TEST_SUITE_P(RandomChains, UpsilonChainProperty,
                          ::testing::Range(0, 40));
 
 TEST(UpsilonTest, GuardedBranchFallsBackToBruteForce) {
-  // Experiment above a branching subtree: outside the exact class; with
-  // few leaves Upsilon brute-forces and stays exact.
+  // Experiment above a branching subtree: outside the block-merge class;
+  // with few leaves Upsilon's subset DP returns exactly what exhaustive
+  // search does.
   InferenceGraph g;
   NodeId root = g.AddRoot("goal");
   auto guard = g.AddChild(root, "s", ArcKind::kReduction, 1.0, "guard",
@@ -144,10 +147,12 @@ TEST(UpsilonTest, GuardedBranchFallsBackToBruteForce) {
   std::vector<double> probs = {0.5, 0.6, 0.7, 0.4};
   Result<UpsilonResult> r = UpsilonAot(g, probs);
   ASSERT_TRUE(r.ok()) << r.status().ToString();
-  EXPECT_TRUE(r->exact);  // brute-force fallback
+  EXPECT_TRUE(r->exact);
   Result<OptimalResult> brute = BruteForceOptimal(g, probs, 8);
   ASSERT_TRUE(brute.ok());
-  EXPECT_TRUE(AlmostEqual(r->expected_cost, brute->cost, 1e-9));
+  EXPECT_EQ(r->strategy.arcs(), brute->strategy.arcs());
+  EXPECT_EQ(std::memcmp(&r->expected_cost, &brute->cost, sizeof(double)), 0)
+      << r->expected_cost << " vs " << brute->cost;
 }
 
 TEST(UpsilonTest, ApproximationFlaggedWhenForced) {
